@@ -15,10 +15,15 @@ contain copies; expiration is the only bound on that compounding.
 Numeric contract: all kernels accumulate in float64 with a fixed term
 order and store float32, so repeated runs (and the copy/compute split in
 cached convolution) are bit-reproducible.  Sums whose order is not fixed
-by a loop nest (fc dot products, softmax normalizers) use correctly
-rounded summation, which is order-independent.  Transcendentals in hot
-paths use numpy's vectorized forms; softmax uses scalar math.exp so its
-tiny head stays identical to a scalar reference.
+by a loop nest (fc dot products, softmax normalizers) are correctly
+rounded to float64, which is order-independent.  The fc layer gets there
+without summing exactly on its common path: a float64 matrix-vector
+product in any order comes with a rigorous error bound, and where every
+value inside that bound rounds to the same float32 the stored result is
+known; the rare rows where it does not (exact zeros, heavy cancellation,
+non-finite terms) are summed exactly with math.fsum.  Transcendentals in
+hot paths use numpy's vectorized forms; softmax uses scalar math.exp so
+its tiny head stays identical to a scalar reference.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -129,6 +133,13 @@ class CacheStore:
         self.prev_frame = None
         self.conv_outputs.clear()
         self.frames_since_flush = 0
+
+    def commit(self, frame: Frame, conv_outputs: dict[str, FeatureMap], flushed: bool):
+        """Install a finished frame's state in one step, so a frame that
+        fails midway leaves the previous frame's state whole."""
+        self.prev_frame = frame
+        self.conv_outputs = conv_outputs
+        self.frames_since_flush = 1 if flushed else self.frames_since_flush + 1
 
 
 @dataclass(frozen=True)
@@ -346,12 +357,35 @@ def lrn_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     return FeatureMap((x64 / denom).astype(np.float32))
 
 
+# Unit roundoff of float64, and its smallest normal magnitude.
+_U64 = 2.0 ** -53
+_TINY64 = float(np.finfo(np.float64).tiny)
+
+
 def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     """Dense layer over the flattened (channel-major) input.
 
-    Each output is a correctly rounded float64 sum of the bias plus all
-    weight*input products (products are exact: float32 mantissas fit), so
-    the result does not depend on any summation order.
+    Each output is the correctly rounded float64 sum of the bias plus all
+    weight*input products, stored as float32.  The products are exact in
+    float64 (two float32 mantissas fit, and their exponents neither
+    overflow nor underflow), so the result depends on no summation order.
+    (Wider weights give rounded products; the bound below has the margin
+    to cover that rounding too, so the result is still that of fsum.)
+
+    Every row is first summed by a float64 matrix-vector product, s, in
+    whatever order the BLAS picks.  Summing n exact terms in any order is
+    off by at most (n-1)*u/(1-(n-1)*u) times the sum of their magnitudes
+    (u = 2**-53), and the magnitudes' own computed sum a is off by the same
+    relative amount, so err = 2*n*u*a + tiny bounds |s - exact| with
+    margin while n*u is small.  [s - err, s + err], widened outward by one
+    ulp to absorb the rounding of the subtraction and addition, holds the
+    exact sum.  Rounding to float64 and then to float32 is monotone, so
+    when both ends of that interval store as the same float32 bit
+    pattern, so does the exact sum.  The other rows (exact zeros, whose
+    ends store as -0.0 and +0.0; sums that cancel to near a float32
+    rounding boundary; non-finite terms) are summed exactly by math.fsum,
+    bias first, which also keeps its +0.0 for an exact zero and its
+    ValueError for inf - inf.
     """
     _require_weights(spec)
     x64 = input.data.astype(np.float64).ravel()
@@ -360,9 +394,21 @@ def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     if w64.shape[1] != x64.size:
         raise ValueError(f"layer {spec.name!r}: fc expects {w64.shape[1]} inputs, "
                          f"got {x64.size}")
-    prods = w64 * x64[None, :]
-    out = np.array([math.fsum(chain((b,), row)) for b, row in zip(b64, prods)])
-    return FeatureMap(out.astype(np.float32).reshape(-1, 1, 1))
+    n = x64.size + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = w64 @ x64 + b64
+        # w64 is this call's own copy; taking |w| in place saves an allocation.
+        a = np.abs(w64, out=w64) @ np.abs(x64) + np.abs(b64)
+        err = (2.0 * n * _U64) * a + _TINY64
+        out = np.nextafter(s - err, -np.inf).astype(np.float32)
+        hi = np.nextafter(s + err, np.inf).astype(np.float32)
+        rows = np.flatnonzero(~np.isfinite(err) | (out.view(np.uint32) != hi.view(np.uint32)))
+        if rows.size:
+            exact = [math.fsum([float(b64[r])]
+                               + (spec.weights[r].astype(np.float64) * x64).tolist())
+                     for r in rows]
+            out[rows] = np.array(exact).astype(np.float32)
+    return FeatureMap(out.reshape(-1, 1, 1))
 
 
 def softmax_forward(input: FeatureMap) -> FeatureMap:
@@ -422,7 +468,8 @@ class Session:
 
     Single-threaded; owns its CacheStore exclusively.  With cache_enabled
     False every frame runs the plain full forward (each frame is a flush
-    and nothing is retained).
+    and nothing is retained).  With it True the model input must hold at
+    least one matcher block, or no frame could ever be matched.
     """
 
     def __init__(self, graph: ModelGraph, matcher_cfg: MatcherConfig | None = None,
@@ -430,6 +477,12 @@ class Session:
                  mean=0.0, scale: float = 1.0):
         self.graph = graph
         self.matcher_cfg = matcher_cfg or MatcherConfig()
+        _, in_h, in_w = graph.input_dims
+        block = self.matcher_cfg.block_size
+        if cache_enabled and min(in_h, in_w) < block:
+            raise ValueError(f"model input {in_w}x{in_h} is smaller than the matcher's "
+                             f"{block}x{block} block; use a smaller block_size or "
+                             f"cache_enabled=False")
         self.cache = CacheStore(expire_n=expire_n)
         self.cache_enabled = cache_enabled
         self.mean = mean
@@ -456,6 +509,7 @@ class Session:
         self.last_match = None
         blobs = {ModelGraph.INPUT_BLOB: preprocess(frame, self.mean, self.scale)}
         per_layer = []
+        conv_outputs = {}
         for spec in self.graph.layers:
             out = _layer_forward(spec, [blobs[b] for b in spec.in_blobs])
             blobs[spec.out_blob] = out
@@ -464,11 +518,9 @@ class Session:
                 per_layer.append(ConvLayerMacs(
                     spec.name, total, 0, total,
                     self.graph.blob_dims[spec.in_blobs[0]][0], spec.geom.kernel))
-                if self.cache_enabled:
-                    self.cache.conv_outputs[spec.name] = out
+                conv_outputs[spec.name] = out
         if self.cache_enabled:
-            self.cache.prev_frame = frame
-            self.cache.frames_since_flush = 1
+            self.cache.commit(frame, conv_outputs, flushed=True)
         total = sum(r.total_macs for r in per_layer)
         metrics = FrameMetrics(match_ratio=0.0, computed_macs=total, total_macs=total,
                                copied_pixels=0, wall_time=0.0, flushed=True,
@@ -482,6 +534,7 @@ class Session:
         blob_maps: dict[str, list[RegionMapping]] = {ModelGraph.INPUT_BLOB: result.mappings}
         per_layer = []
         copied_total = 0
+        conv_outputs = {}
         for spec in self.graph.layers:
             _, out_h, out_w = self.graph.blob_dims[spec.out_blob]
             if spec.op == "concat":
@@ -501,13 +554,12 @@ class Session:
                         spec.name, macs, copied, self._totals[spec.name],
                         in_c, spec.geom.kernel))
                     copied_total += copied
-                    self.cache.conv_outputs[spec.name] = out
+                    conv_outputs[spec.name] = out
                 else:
                     out = _layer_forward(spec, [blobs[spec.in_blobs[0]]])
             blobs[spec.out_blob] = out
             blob_maps[spec.out_blob] = out_maps
-        self.cache.prev_frame = frame
-        self.cache.frames_since_flush += 1
+        self.cache.commit(frame, conv_outputs, flushed=False)
         metrics = FrameMetrics(
             match_ratio=result.match_ratio,
             computed_macs=sum(r.computed_macs for r in per_layer),

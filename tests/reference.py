@@ -5,11 +5,13 @@ sharing no code with the package.  Convolution and normalization use the
 same per-element term order as the production kernels (bias first, then
 input channel / kernel row / kernel col ascending), so comparisons can be
 exact rather than approximate.  Sums without a pinned order (fc) go
-through exact rational arithmetic instead.
+through exact rational arithmetic instead, or through one math.fsum per
+output row.
 """
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -99,6 +101,18 @@ def fc_exact(x, w, b):
         for i in range(flat.size):
             total += Fraction(float(w[o, i])) * Fraction(float(flat[i]))
         out[o] = float(total)
+    return out.astype(np.float32).reshape(-1, 1, 1)
+
+
+def fc_fsum(x, w, b):
+    """Dense layer as one math.fsum per output row over the bias and the
+    float64 products, stored float32: the per-row formula the production
+    kernel must reproduce bit for bit, including +0.0 for rows that cancel
+    exactly and fsum's handling of non-finite terms."""
+    flat = x.astype(np.float64).ravel()
+    prods = w.astype(np.float64) * flat[None, :]
+    out = np.array([math.fsum(chain((bias,), row))
+                    for bias, row in zip(b.astype(np.float64), prods)])
     return out.astype(np.float32).reshape(-1, 1, 1)
 
 

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from framecache import engine
 from framecache import (FeatureMap, Frame, LayerGeom, LayerSpec, LayerType,
                         MatcherConfig, Rect, RegionMapping, Session,
                         build_reuse_bitmap, concat_forward, conv_forward,
@@ -21,6 +25,12 @@ def fmap(arr) -> FeatureMap:
 def rand_map(seed, c, h, w, lo=-2.0, hi=2.0) -> FeatureMap:
     rng = np.random.default_rng(seed)
     return fmap(rng.uniform(lo, hi, size=(c, h, w)))
+
+
+def bits(arr) -> np.ndarray:
+    """float32 bit patterns: unlike value equality, tells -0.0 from +0.0
+    and compares NaNs."""
+    return np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32)
 
 
 def conv_spec(k, out_ch, s=1, p=0, *, in_ch, seed=0, name="c") -> LayerSpec:
@@ -164,14 +174,43 @@ class TestLrnForward:
         assert abs(out.data[0, 0, 0] - 1.0 / 3.0) < 1e-6
 
 
+def fc_layer(weights, biases) -> LayerSpec:
+    spec = LayerSpec("f", "fc", LayerGeom(LayerType.FULLY_CONNECTED),
+                     ["data"], "out", out_features=len(biases))
+    spec.weights = np.asarray(weights, dtype=np.float32)
+    spec.biases = np.asarray(biases, dtype=np.float32)
+    return spec
+
+
+# Finite float32 values from zero and subnormals through 1e-30 up to 2**100
+# (about 1.3e30) for weights, up to 2**24 for inputs, so that most
+# products and sums stay inside the float32 range.
+FC_WEIGHTS = st.floats(min_value=-(2.0 ** 100), max_value=2.0 ** 100, width=32)
+FC_INPUTS = st.floats(min_value=-(2.0 ** 24), max_value=2.0 ** 24, width=32)
+
+
+@st.composite
+def fc_cases(draw):
+    """(input map, weights, biases).  Half the cases mirror every row so
+    its products cancel exactly to the bias, and then often zero the
+    bias too: those sums are exactly zero and must store +0.0."""
+    out_f = draw(st.integers(1, 5))
+    in_f = draw(st.integers(1, 12))
+    w = draw(arrays(np.float32, (out_f, in_f), elements=FC_WEIGHTS, fill=st.nothing()))
+    x = draw(arrays(np.float32, in_f, elements=FC_INPUTS, fill=st.nothing()))
+    b = draw(arrays(np.float32, out_f, elements=FC_WEIGHTS, fill=st.nothing()))
+    if draw(st.booleans()):
+        w = np.concatenate([w, -w[:, ::-1]], axis=1)
+        x = np.concatenate([x, x[::-1]])
+        b = draw(st.sampled_from([b, np.zeros_like(b), -np.zeros_like(b)]))
+    return fmap(x.reshape(-1, 1, 1)), w, b
+
+
 class TestFcForward:
     def fc_spec(self, out_features, in_features, seed=0):
         rng = np.random.default_rng(seed)
-        spec = LayerSpec("f", "fc", LayerGeom(LayerType.FULLY_CONNECTED),
-                         ["data"], "out", out_features=out_features)
-        spec.weights = rng.normal(size=(out_features, in_features)).astype(np.float32)
-        spec.biases = rng.normal(size=out_features).astype(np.float32)
-        return spec
+        return fc_layer(rng.normal(size=(out_features, in_features)),
+                        rng.normal(size=out_features))
 
     def test_matches_exact_rational(self):
         x = rand_map(3, 2, 3, 4)
@@ -179,7 +218,67 @@ class TestFcForward:
         got = fc_forward(x, spec)
         assert got.data.shape == (5, 1, 1)
         want = reference.fc_exact(x.data, spec.weights, spec.biases)
-        assert np.array_equal(got.data, want)
+        assert np.array_equal(bits(got.data), bits(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(fc_cases())
+    def test_matches_fsum_and_exact_rational(self, case):
+        x, w, b = case
+        got = bits(fc_forward(x, fc_layer(w, b)).data)
+        assert np.array_equal(got, bits(reference.fc_fsum(x.data, w, b)))
+        assert np.array_equal(got, bits(reference.fc_exact(x.data, w, b)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=2.0 ** -50, max_value=2.0 ** 50, width=32),
+           st.sampled_from([0.0, 2.0 ** -60, -(2.0 ** -60), 2.0 ** -90, -(2.0 ** -90)]))
+    def test_float32_halfway_sums(self, base, nudge):
+        # bias + half a float32 ulp sits exactly between two float32 values
+        # (ties to even); a nudge below float64 precision rounds away in
+        # float64 first, so the stored value is the tie's, not the nudge's.
+        # Deciding from the exact sum in one rounding would differ.
+        half_ulp = float(np.spacing(np.float32(base))) / 2
+        w = np.array([[half_ulp, nudge * base]])
+        x = np.ones((2, 1, 1))
+        b = np.array([base])
+        got = bits(fc_forward(fmap(x), fc_layer(w, b)).data)
+        w32, b32 = w.astype(np.float32), b.astype(np.float32)
+        assert np.array_equal(got, bits(reference.fc_fsum(x.astype(np.float32), w32, b32)))
+        assert np.array_equal(got, bits(reference.fc_exact(x, w32, b32)))
+
+    def test_overflow_to_infinity(self):
+        w = np.array([[3e38, 3e38], [-3e38, -3e38], [3e38, -3e38]])
+        x = fmap(np.ones((2, 1, 1)))
+        got = fc_forward(x, fc_layer(w, np.zeros(3))).data.ravel()
+        assert np.array_equal(bits(got), bits([np.inf, -np.inf, 0.0]))
+
+    def test_non_finite_terms_follow_fsum(self):
+        spec = fc_layer([[1.0, 0.0], [1.0, 1.0]], [0.0, 0.0])
+        nan_in = fmap(np.array([1.0, np.inf]).reshape(2, 1, 1))   # inf * 0 is NaN
+        with np.errstate(invalid="ignore"):
+            want = reference.fc_fsum(nan_in.data, spec.weights, spec.biases)
+        assert np.array_equal(bits(fc_forward(nan_in, spec).data), bits(want))
+        with pytest.raises(ValueError, match="inf"):
+            fc_forward(fmap(np.array([np.inf, -np.inf]).reshape(2, 1, 1)), spec)
+
+    def test_model_sized_layer(self):
+        # fc1 of the 227x227 benchmark model: 256 outputs over 2304 inputs.
+        rng = np.random.default_rng(4)
+        spec = fc_layer(rng.normal(0.0, 0.02, size=(256, 2304)), rng.normal(size=256))
+        x = fmap(np.maximum(rng.normal(size=(256, 3, 3)), 0.0))
+        want = reference.fc_fsum(x.data, spec.weights, spec.biases)
+        assert np.array_equal(bits(fc_forward(x, spec).data), bits(want))
+
+    def test_cancelling_row_takes_exact_path(self, monkeypatch):
+        # Row 1 cancels to exactly zero: its interval straddles -0.0/+0.0,
+        # so it alone is summed by math.fsum and must store +0.0.
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(engine.math, "fsum", lambda v: calls.append(1) or fsum(v))
+        w = [[1.0, 2.0, 3.0], [0.1, -0.1, 0.0], [-4.0, 0.5, 1.0]]
+        x = fmap(np.array([1.0, 1.0, 2.0]).reshape(3, 1, 1))
+        got = fc_forward(x, fc_layer(w, [0.5, -0.0, 0.25])).data.ravel()
+        assert len(calls) == 1
+        assert np.array_equal(bits(got), bits([9.5, 0.0, -1.25]))
 
     def test_flatten_order_is_channel_row_col(self):
         x = fmap(np.arange(8).reshape(2, 2, 2))
@@ -472,6 +571,41 @@ class TestSession:
         for f in synth_sequence(4, 32, 32, dx=3, dy=2, noise=0.02, seed=13):
             out, _ = sess.run_frame(f)
             assert np.all(np.isfinite(out.data))
+
+    def test_failed_frame_leaves_cache_whole(self, monkeypatch):
+        # Frame 1 fails in c2, after c1 has already produced its output.
+        # Frame 2 must then run exactly as if frame 1 had never been seen.
+        frames = synth_sequence(3, 32, 32, dx=2, dy=1, noise=0.005, seed=17)
+        sess = make_session()
+        sess.run_frame(frames[0])
+        real = engine.conv_forward_cached
+
+        def fail_in_c2(input, spec, *args):
+            if spec.name == "c2":
+                raise RuntimeError("injected")
+            return real(input, spec, *args)
+
+        monkeypatch.setattr(engine, "conv_forward_cached", fail_in_c2)
+        with pytest.raises(RuntimeError, match="injected"):
+            sess.run_frame(frames[1])
+        monkeypatch.setattr(engine, "conv_forward_cached", real)
+        out, metrics = sess.run_frame(frames[2])
+
+        clean = make_session()
+        clean.run_frame(frames[0])
+        want, want_metrics = clean.run_frame(frames[2])
+        assert metrics.copied_pixels == want_metrics.copied_pixels > 0
+        assert np.array_equal(bits(out.data), bits(want.data))
+        assert sess.cache.frames_since_flush == clean.cache.frames_since_flush == 2
+
+    def test_input_smaller_than_block_rejected(self):
+        text = "input 1 8 8\nc1 conv k=3 out_ch=2 p=1 in=data out=b1\n"
+        with pytest.raises(ValueError, match="block"):
+            make_session(text)
+        plain = make_session(text, cache_enabled=False)
+        for f in synth_sequence(3, 8, 8, channels=1, dx=1, seed=2):
+            _, metrics = plain.run_frame(f)
+            assert metrics.flushed
 
     def test_module_level_run_frame(self):
         sess = make_session()
