@@ -12,13 +12,13 @@ from .matching import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, MatcherConfig,
                        MatchResult, MatchStats, block_search,
                        estimate_global_motion, match_frames, merge_blocks,
                        partition_grid, psnr, psnr_from_sse, verify_blocks)
-from .regions import (LayerGeom, LayerType, concat_mappings, concat_transform,
-                      propagate_mappings, transform_mapping, transform_region)
+from .regions import (LayerGeom, LayerType, concat_mappings, propagate_mappings,
+                      transform_mapping, transform_region)
 from .engine import (CacheStore, ConvLayerMacs, FrameMetrics, LayerSpec,
                      ModelGraph, Session, build_reuse_bitmap, concat_forward,
                      conv_forward, conv_forward_cached, elementwise_forward,
                      fc_forward, lrn_forward, pool_forward, preprocess,
-                     relu_forward, run_frame, softmax_forward)
+                     relu_forward, softmax_forward)
 from .model_io import (ModelParseError, expected_weight_bytes, load_frame_pnm,
                        load_weights, parse_model, random_weights,
                        serialize_model, serialize_weights, write_frame_pnm)
@@ -34,9 +34,9 @@ __all__ = [
     "block_search", "estimate_global_motion", "verify_blocks", "merge_blocks",
     "match_frames",
     "LayerType", "LayerGeom", "transform_region", "transform_mapping",
-    "concat_transform", "concat_mappings", "propagate_mappings",
+    "concat_mappings", "propagate_mappings",
     "LayerSpec", "ModelGraph", "CacheStore", "FrameMetrics", "ConvLayerMacs",
-    "Session", "run_frame", "preprocess", "build_reuse_bitmap",
+    "Session", "preprocess", "build_reuse_bitmap",
     "conv_forward", "conv_forward_cached", "pool_forward", "relu_forward",
     "lrn_forward", "fc_forward", "softmax_forward", "concat_forward",
     "elementwise_forward",

@@ -1,20 +1,28 @@
 """Graph execution with cached convolutions.
 
 A Session runs a ModelGraph over a frame sequence.  The first frame, and
-every expire_n-th frame after it, is a flush: a full forward pass whose
-convolution outputs repopulate the cache.  Every other frame is matched
-against the previous frame at the raw 8-bit level; the resulting reusable
-regions are propagated through the graph, and each convolution copies
-cached values for its reusable output pixels while computing the rest.
+every expire_n-th frame after it, is a flush: it starts from no reusable
+regions, so every convolution computes in full and its output repopulates
+the cache.  Every other frame is matched against the previous frame at the
+raw 8-bit level; the resulting reusable regions are propagated through the
+graph, and each convolution copies cached values for its reusable output
+pixels while computing the rest.  Both kinds of frame run the same layer
+loop; a flush is a cache-assisted run with nothing to reuse.
 
 Only convolution outputs are cached; every other layer type always computes
 fully, though regions still propagate through it geometrically.  Copied
 values come from the previous frame's stored output, which may itself
 contain copies; expiration is the only bound on that compounding.
 
+What each layer op is (its model-text keys, propagation geometry, output
+dims and forward call) is stated once, in OPS.
+
 Numeric contract: all kernels accumulate in float64 with a fixed term
 order and store float32, so repeated runs (and the copy/compute split in
-cached convolution) are bit-reproducible.  Sums whose order is not fixed
+cached convolution) are bit-reproducible.  One convolution kernel serves
+both the full and the cached path: it computes any set of output pixels,
+each as its bias plus its terms in a fixed order, so which pixels are
+computed together never changes a value.  Sums whose order is not fixed
 by a loop nest (fc dot products, softmax normalizers) are correctly
 rounded to float64, which is order-independent.  The fc layer gets there
 without summing exactly on its common path: a float64 matrix-vector
@@ -31,15 +39,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from .core import EMPTY_RECT, FeatureMap, Frame, Rect, RegionMapping
+from .core import FeatureMap, Frame, Rect, RegionMapping
 from .matching import MatcherConfig, MatchResult, match_frames
 from .regions import LayerGeom, LayerType, concat_mappings, propagate_mappings
-
-LAYER_OPS = ("conv", "pool", "relu", "lrn", "fc", "softmax", "concat", "scale", "bias")
 
 
 @dataclass
@@ -68,13 +74,15 @@ class LayerSpec:
     biases: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.op not in LAYER_OPS:
+        if self.op not in OPS:
             raise ValueError(f"unknown layer op {self.op!r}")
         if self.op == "concat":
             if len(self.in_blobs) < 1:
                 raise ValueError("concat needs inputs")
         elif len(self.in_blobs) != 1:
             raise ValueError(f"layer {self.name!r}: only concat takes multiple inputs")
+        if self.op == "pool" and self.pool_mode not in ("max", "avg"):
+            raise ValueError(f"pool mode must be max or avg, got {self.pool_mode!r}")
 
 
 @dataclass
@@ -197,37 +205,54 @@ def _conv_dims(h: int, w: int, k: int, s: int, p: int) -> tuple[int, int]:
     out_h = (h + 2 * p - k) // s + 1
     out_w = (w + 2 * p - k) // s + 1
     if h + 2 * p < k or w + 2 * p < k:
-        raise ValueError(f"window k={k} exceeds padded input {h + 2 * p}x{w + 2 * p}")
+        raise ValueError(f"dimension mismatch: window k={k} exceeds padded input "
+                         f"{h + 2 * p}x{w + 2 * p}")
     return out_h, out_w
 
 
-def conv_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
-    """Spatial convolution, zero padding, square kernel, per-channel bias.
-
-    Accumulates in float64, per output pixel strictly as bias first, then
-    terms in (input channel, kernel row, kernel col) ascending order; the
-    spatial axes are vectorized, which does not reorder any pixel's sum.
-    """
+def _check_conv(input: FeatureMap, spec: LayerSpec) -> tuple[int, int]:
+    """Checks both conv entry points share; returns the output (height, width)."""
     _require_weights(spec)
-    k, s, p = spec.geom.kernel, spec.geom.stride, spec.geom.pad
-    w64 = spec.weights.astype(np.float64)
-    b64 = spec.biases.astype(np.float64)
-    out_ch, in_ch = w64.shape[0], w64.shape[1]
+    in_ch = spec.weights.shape[1]
     if input.channels != in_ch:
         raise ValueError(f"layer {spec.name!r}: input has {input.channels} channels, "
                          f"weights expect {in_ch}")
-    out_h, out_w = _conv_dims(input.height, input.width, k, s, p)
-    padded = _pad_input(input.data.astype(np.float64), p)
+    g = spec.geom
+    return _conv_dims(input.height, input.width, g.kernel, g.stride, g.pad)
 
-    acc = np.empty((out_ch, out_h, out_w), dtype=np.float64)
-    acc[:] = b64[:, None, None]
-    for ic in range(in_ch):
-        plane = padded[ic]
+
+def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
+             idx_x: np.ndarray) -> np.ndarray:
+    """Convolution outputs at the output pixels (idx_y[i], idx_x[i]), as a
+    float32 (out_ch, n) array.  Zero padding, square kernel, per-channel
+    bias.
+
+    Accumulates in float64, per output pixel strictly as bias first, then
+    terms in (input channel, kernel row, kernel col) ascending order; the
+    pixels are vectorized, which does not reorder any pixel's sum, so a
+    pixel's value does not depend on which other pixels are computed.
+    """
+    k, s, p = spec.geom.kernel, spec.geom.stride, spec.geom.pad
+    w64 = spec.weights.astype(np.float64)
+    padded = _pad_input(input.data.astype(np.float64), p)
+    plane_w = padded.shape[2]
+    # Flat index of each pixel's window corner within one padded plane.
+    corner = idx_y * (s * plane_w) + idx_x * s
+    acc = np.empty((w64.shape[0], idx_y.size), dtype=np.float64)
+    acc[:] = spec.biases.astype(np.float64)[:, None]
+    for ic in range(w64.shape[1]):
+        plane = padded[ic].ravel()
         for ky in range(k):
             for kx in range(k):
-                patch = plane[ky:ky + s * out_h:s, kx:kx + s * out_w:s]
-                acc += w64[:, ic, ky, kx][:, None, None] * patch[None, :, :]
-    return FeatureMap(acc.astype(np.float32))
+                acc += w64[:, ic, ky, kx][:, None] * plane.take(corner + (ky * plane_w + kx))
+    return acc.astype(np.float32)
+
+
+def conv_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
+    """Spatial convolution over every output pixel (see _conv_at)."""
+    out_h, out_w = _check_conv(input, spec)
+    idx_y, idx_x = np.indices((out_h, out_w)).reshape(2, -1)
+    return FeatureMap(_conv_at(input, spec, idx_y, idx_x).reshape(-1, out_h, out_w))
 
 
 def build_reuse_bitmap(mappings: list[RegionMapping], out_w: int, out_h: int) -> np.ndarray:
@@ -255,29 +280,19 @@ def conv_forward_cached(input: FeatureMap, spec: LayerSpec, cached_out: FeatureM
     """Convolution that copies reusable output pixels instead of computing.
 
     Three steps: copy cached_out[src] into output[dst] for every mapping
-    (all channels); build the reuse bitmap; run the convolution only for
-    unmarked pixels.  Computed pixels get bit-identical values to a full
-    conv_forward because each pixel's accumulation order is unchanged.
+    (all channels); build the reuse bitmap; run the convolution kernel
+    only for unmarked pixels.  Computed pixels get bit-identical values to
+    a full conv_forward, which runs the same kernel over every pixel.
+    With no mappings every pixel is computed.
 
     Returns (output, computed_macs, copied_pixels); copied_pixels counts
     output elements across channels.
     """
-    _require_weights(spec)
-    k, s, p = spec.geom.kernel, spec.geom.stride, spec.geom.pad
-    w64 = spec.weights.astype(np.float64)
-    b64 = spec.biases.astype(np.float64)
-    out_ch, in_ch = w64.shape[0], w64.shape[1]
-    if input.channels != in_ch:
-        raise ValueError(f"layer {spec.name!r}: input has {input.channels} channels, "
-                         f"weights expect {in_ch}")
-    out_h, out_w = _conv_dims(input.height, input.width, k, s, p)
+    out_h, out_w = _check_conv(input, spec)
+    out_ch, in_ch, k, _ = spec.weights.shape
     if cached_out.data.shape != (out_ch, out_h, out_w):
         raise ValueError(f"layer {spec.name!r}: cached output dims {cached_out.data.shape} "
                          f"do not match {(out_ch, out_h, out_w)}")
-
-    if not mappings:
-        out = conv_forward(input, spec)
-        return out, out_h * out_w * out_ch * in_ch * k * k, 0
 
     out = np.empty((out_ch, out_h, out_w), dtype=np.float32)
     for m in mappings:
@@ -289,24 +304,11 @@ def conv_forward_cached(input: FeatureMap, spec: LayerSpec, cached_out: FeatureM
 
     bitmap = build_reuse_bitmap(mappings, out_w, out_h)
     idx_y, idx_x = np.nonzero(~bitmap)
-    n_pix = idx_y.size
-    if n_pix:
-        padded = _pad_input(input.data.astype(np.float64), p)
-        acc = np.empty((out_ch, n_pix), dtype=np.float64)
-        acc[:] = b64[:, None]
-        base_y = idx_y * s
-        base_x = idx_x * s
-        for ic in range(in_ch):
-            plane = padded[ic]
-            for ky in range(k):
-                yy = base_y + ky
-                for kx in range(k):
-                    vals = plane[yy, base_x + kx]
-                    acc += w64[:, ic, ky, kx][:, None] * vals[None, :]
-        out[:, idx_y, idx_x] = acc.astype(np.float32)
+    if idx_y.size:
+        out[:, idx_y, idx_x] = _conv_at(input, spec, idx_y, idx_x)
 
     copied = int(bitmap.sum()) * out_ch
-    computed = n_pix * out_ch * in_ch * k * k
+    computed = idx_y.size * out_ch * in_ch * k * k
     return FeatureMap(out), computed, copied
 
 
@@ -445,22 +447,82 @@ def elementwise_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     raise ValueError(f"not an elementwise op: {spec.op!r}")
 
 
-def _layer_forward(spec: LayerSpec, inputs: list[FeatureMap]) -> FeatureMap:
-    if spec.op == "conv":
-        return conv_forward(inputs[0], spec)
-    if spec.op == "pool":
-        return pool_forward(inputs[0], spec)
-    if spec.op == "relu":
-        return relu_forward(inputs[0])
-    if spec.op == "lrn":
-        return lrn_forward(inputs[0], spec)
-    if spec.op == "fc":
-        return fc_forward(inputs[0], spec)
-    if spec.op == "softmax":
-        return softmax_forward(inputs[0])
-    if spec.op == "concat":
-        return concat_forward(inputs)
-    return elementwise_forward(inputs[0], spec)
+Dims = tuple[int, int, int]
+
+
+def _same_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
+    return in_dims[0]
+
+
+def _window_out(spec: LayerSpec, dims: Dims) -> tuple[int, int]:
+    _, h, w = dims
+    g = spec.geom
+    return _conv_dims(h, w, g.kernel, g.stride, g.pad)
+
+
+def _conv_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
+    out_h, out_w = _window_out(spec, in_dims[0])
+    if spec.out_channels < 1:
+        raise ValueError("conv needs out_ch >= 1")
+    return spec.out_channels, out_h, out_w
+
+
+def _pool_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
+    return (in_dims[0][0], *_window_out(spec, in_dims[0]))
+
+
+def _fc_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
+    if spec.out_features < 1:
+        raise ValueError("fc needs out >= 1")
+    return spec.out_features, 1, 1
+
+
+def _concat_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
+    hw = {(h, w) for _, h, w in in_dims}
+    if len(hw) != 1:
+        raise ValueError(f"concat inputs disagree on spatial dims: {sorted(hw)}")
+    (h, w), = hw
+    return sum(c for c, _, _ in in_dims), h, w
+
+
+@dataclass(frozen=True)
+class LayerOp:
+    """Everything the package knows about one layer op.
+
+    keys are the op's model-text keys in serialization order, each with its
+    default (None for a required key).  dims maps the spec and its input
+    dims to the output dims, raising ValueError on impossible geometry.
+    forward runs the layer; it names its kernel through this module's
+    globals when called, so a kernel replaced on the module (as tracing
+    and tests do) is the one that runs.
+    """
+
+    keys: dict[str, object]
+    layer_type: LayerType
+    dims: Callable[[LayerSpec, list[Dims]], Dims]
+    forward: Callable[[LayerSpec, list[FeatureMap]], FeatureMap]
+
+
+OPS: dict[str, LayerOp] = {
+    "conv": LayerOp({"k": None, "s": 1, "p": 0, "out_ch": None}, LayerType.CONVOLUTION,
+                    _conv_out, lambda spec, xs: conv_forward(xs[0], spec)),
+    "pool": LayerOp({"k": None, "s": 1, "p": 0, "mode": "max"}, LayerType.POOLING,
+                    _pool_out, lambda spec, xs: pool_forward(xs[0], spec)),
+    "relu": LayerOp({}, LayerType.ELEMENTWISE, _same_out,
+                    lambda spec, xs: relu_forward(xs[0])),
+    "lrn": LayerOp({"r": None, "alpha": 1e-4, "beta": 0.75, "bias": 1.0}, LayerType.LRN,
+                   _same_out, lambda spec, xs: lrn_forward(xs[0], spec)),
+    "fc": LayerOp({"out": None}, LayerType.FULLY_CONNECTED, _fc_out,
+                  lambda spec, xs: fc_forward(xs[0], spec)),
+    "softmax": LayerOp({}, LayerType.SOFTMAX, _same_out,
+                       lambda spec, xs: softmax_forward(xs[0])),
+    "concat": LayerOp({}, LayerType.CONCAT, _concat_out,
+                      lambda spec, xs: concat_forward(xs)),
+    "scale": LayerOp({"factor": None}, LayerType.ELEMENTWISE, _same_out,
+                     lambda spec, xs: elementwise_forward(xs[0], spec)),
+    "bias": LayerOp({"value": None}, LayerType.ELEMENTWISE, _same_out,
+                    lambda spec, xs: elementwise_forward(xs[0], spec)),
+}
 
 
 class Session:
@@ -470,6 +532,10 @@ class Session:
     False every frame runs the plain full forward (each frame is a flush
     and nothing is retained).  With it True the model input must hold at
     least one matcher block, or no frame could ever be matched.
+
+    last_match is None after a flush, and after a cache-assisted frame it
+    is the MatchResult that frame's reuse came from (its match_ratio is
+    the frame's FrameMetrics.match_ratio).
     """
 
     def __init__(self, graph: ModelGraph, matcher_cfg: MatcherConfig | None = None,
@@ -499,76 +565,46 @@ class Session:
                  or self.cache.prev_frame is None
                  or self.cache.frames_since_flush >= self.cache.expire_n)
         if flush:
-            out, metrics = self._run_flush(frame)
+            self.last_match = None
+            in_maps = []
         else:
-            out, metrics = self._run_cached(frame)
-        metrics.wall_time = (time.perf_counter() - t0) * 1000.0
-        return out, metrics
-
-    def _run_flush(self, frame: Frame) -> tuple[FeatureMap, FrameMetrics]:
-        self.last_match = None
+            self.last_match = match_frames(frame, self.cache.prev_frame, self.matcher_cfg)
+            in_maps = self.last_match.mappings
         blobs = {ModelGraph.INPUT_BLOB: preprocess(frame, self.mean, self.scale)}
+        blob_maps: dict[str, list[RegionMapping]] = {ModelGraph.INPUT_BLOB: in_maps}
         per_layer = []
-        conv_outputs = {}
-        for spec in self.graph.layers:
-            out = _layer_forward(spec, [blobs[b] for b in spec.in_blobs])
-            blobs[spec.out_blob] = out
-            if spec.op == "conv":
-                total = self._totals[spec.name]
-                per_layer.append(ConvLayerMacs(
-                    spec.name, total, 0, total,
-                    self.graph.blob_dims[spec.in_blobs[0]][0], spec.geom.kernel))
-                conv_outputs[spec.name] = out
-        if self.cache_enabled:
-            self.cache.commit(frame, conv_outputs, flushed=True)
-        total = sum(r.total_macs for r in per_layer)
-        metrics = FrameMetrics(match_ratio=0.0, computed_macs=total, total_macs=total,
-                               copied_pixels=0, wall_time=0.0, flushed=True,
-                               per_layer=per_layer)
-        return blobs[self.graph.output_blob], metrics
-
-    def _run_cached(self, frame: Frame) -> tuple[FeatureMap, FrameMetrics]:
-        result = match_frames(frame, self.cache.prev_frame, self.matcher_cfg)
-        self.last_match = result
-        blobs = {ModelGraph.INPUT_BLOB: preprocess(frame, self.mean, self.scale)}
-        blob_maps: dict[str, list[RegionMapping]] = {ModelGraph.INPUT_BLOB: result.mappings}
-        per_layer = []
-        copied_total = 0
         conv_outputs = {}
         for spec in self.graph.layers:
             _, out_h, out_w = self.graph.blob_dims[spec.out_blob]
+            inputs = [blobs[b] for b in spec.in_blobs]
             if spec.op == "concat":
-                out_maps = concat_mappings([blob_maps.get(b, []) for b in spec.in_blobs])
-                out = concat_forward([blobs[b] for b in spec.in_blobs])
+                out_maps = concat_mappings([blob_maps[b] for b in spec.in_blobs])
             else:
-                in_maps = blob_maps.get(spec.in_blobs[0], [])
-                out_maps = propagate_mappings(in_maps, spec.geom, out_w, out_h)
-                if spec.op == "conv":
+                out_maps = propagate_mappings(blob_maps[spec.in_blobs[0]], spec.geom,
+                                              out_w, out_h)
+            if spec.op != "conv":
+                out = OPS[spec.op].forward(spec, inputs)
+            else:
+                total = self._totals[spec.name]
+                if flush:
+                    out, macs, copied = conv_forward(inputs[0], spec), total, 0
+                else:
                     stored = self.cache.conv_outputs.get(spec.name)
                     if stored is None:
                         raise RuntimeError(f"no cached output for layer {spec.name!r}")
-                    out, macs, copied = conv_forward_cached(
-                        blobs[spec.in_blobs[0]], spec, stored, out_maps)
-                    in_c = self.graph.blob_dims[spec.in_blobs[0]][0]
-                    per_layer.append(ConvLayerMacs(
-                        spec.name, macs, copied, self._totals[spec.name],
-                        in_c, spec.geom.kernel))
-                    copied_total += copied
-                    conv_outputs[spec.name] = out
-                else:
-                    out = _layer_forward(spec, [blobs[spec.in_blobs[0]]])
+                    out, macs, copied = conv_forward_cached(inputs[0], spec, stored, out_maps)
+                per_layer.append(ConvLayerMacs(spec.name, macs, copied, total,
+                                               inputs[0].channels, spec.geom.kernel))
+                conv_outputs[spec.name] = out
             blobs[spec.out_blob] = out
             blob_maps[spec.out_blob] = out_maps
-        self.cache.commit(frame, conv_outputs, flushed=False)
+        if self.cache_enabled:
+            self.cache.commit(frame, conv_outputs, flushed=flush)
         metrics = FrameMetrics(
-            match_ratio=result.match_ratio,
+            match_ratio=0.0 if flush else self.last_match.match_ratio,
             computed_macs=sum(r.computed_macs for r in per_layer),
             total_macs=sum(r.total_macs for r in per_layer),
-            copied_pixels=copied_total,
-            wall_time=0.0, flushed=False, per_layer=per_layer)
+            copied_pixels=sum(r.copied_pixels for r in per_layer),
+            wall_time=(time.perf_counter() - t0) * 1000.0, flushed=flush,
+            per_layer=per_layer)
         return blobs[self.graph.output_blob], metrics
-
-
-def run_frame(session: Session, frame: Frame) -> tuple[FeatureMap, FrameMetrics]:
-    """Function form of Session.run_frame."""
-    return session.run_frame(frame)

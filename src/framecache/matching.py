@@ -123,110 +123,130 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return psnr_from_sse(float(np.dot(d, d)), d.size)
 
 
-class _BlockSearcher:
-    """Candidate evaluation for one block: bounds checks, SSE memo, counters.
+def _windows(frame: np.ndarray, h: int, w: int) -> np.ndarray:
+    """View of every h x w window of a [c, H, W] frame: [y, x, c, h, w]."""
+    return np.lib.stride_tricks.sliding_window_view(
+        frame, (h, w), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
 
-    Works on float64 copies of the frames; squared differences of 8-bit
-    samples are exact integers in float64, so SSE values are identical no
-    matter which code path or summation order produced them.
+
+def _window_sse(cur16, ref16, h: int, w: int, cy, cx, ry, rx) -> list[float]:
+    """SSE between the h x w windows of cur at (cy, cx) and of ref at (ry, rx).
+
+    The frames are int16 copies of 8-bit data, so differences are exact and
+    the int64 sums equal the exact squared-error sums.
+    """
+    d = _windows(ref16, h, w)[ry, rx].reshape(len(ry), -1)
+    d -= _windows(cur16, h, w)[cy, cx].reshape(len(cy), -1)
+    return np.einsum("nk,nk->n", d, d, dtype=np.int64).astype(np.float64).tolist()
+
+
+class _BlockBatch:
+    """Candidate evaluation for equal-sized blocks searched in lockstep.
+
+    Each block keeps its own SSE memo (offset -> SSE) and its own search
+    trajectory; a search step scores the pattern around every block's center
+    with one gather over the frames.  SSE values are exact, so they are
+    identical no matter which code path or summation order produced them.
     """
 
-    def __init__(self, cur64, ref64, block: Rect, cfg: MatcherConfig,
-                 memo: dict, stats: MatchStats):
-        self.block = block
+    def __init__(self, cur16, ref16, blocks: list[Rect], cfg: MatcherConfig,
+                 memos: list[dict], stats: MatchStats):
+        self.h, self.w = blocks[0].h, blocks[0].w
+        self.cur = cur16
+        self.ref = ref16
+        self.blocks = blocks
         self.cfg = cfg
-        self.memo = memo
+        self.memos = memos
         self.stats = stats
-        self.ref = ref64
-        self.ref_h = ref64.shape[1]
-        self.ref_w = ref64.shape[2]
-        self.cblk = np.ascontiguousarray(
-            cur64[:, block.y:block.y2, block.x:block.x2]).ravel()
-        self.count = self.cblk.size
+        self.count = cur16.shape[0] * self.h * self.w
+        self.bx = np.array([blk.x for blk in blocks])
+        self.by = np.array([blk.y for blk in blocks])
+        sr = cfg.search_range
+        self.dx_lo = np.maximum(-sr, -self.bx)
+        self.dx_hi = np.minimum(sr, ref16.shape[2] - self.w - self.bx)
+        self.dy_lo = np.maximum(-sr, -self.by)
+        self.dy_hi = np.minimum(sr, ref16.shape[1] - self.h - self.by)
 
-    def valid(self, dx: int, dy: int) -> bool:
-        sr = self.cfg.search_range
-        if abs(dx) > sr or abs(dy) > sr:
-            return False
-        x = self.block.x + dx
-        y = self.block.y + dy
-        return 0 <= x and x + self.block.w <= self.ref_w and 0 <= y and y + self.block.h <= self.ref_h
+    @property
+    def n(self) -> int:
+        return len(self.blocks)
 
-    def sse(self, dx: int, dy: int) -> float:
-        key = (dx, dy)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        x = self.block.x + dx
-        y = self.block.y + dy
-        d = self.cblk - self.ref[:, y:y + self.block.h, x:x + self.block.w].ravel()
-        value = float(np.dot(d, d))
-        self.memo[key] = value
-        self.stats.psnr_evals += 1
-        return value
+    def best(self, idx: np.ndarray, centers: np.ndarray, pattern) -> np.ndarray:
+        """Per block idx[i], the lowest-SSE in-range offset of centers[i] + pattern.
 
-    def best(self, candidates) -> tuple[int, int]:
-        """Lowest-SSE candidate; ties prefer small |dx|+|dy|, then dy, then dx."""
-        best_key = None
-        best_off = None
-        for dx, dy in candidates:
-            if not self.valid(dx, dy):
-                continue
-            key = (self.sse(dx, dy), abs(dx) + abs(dy), dy, dx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_off = (dx, dy)
-        return best_off
+        Ties prefer small |dx|+|dy|, then dy, then dx.  Offsets not yet in a
+        block's memo are scored in one gather and memoized.
+        """
+        cand = centers[:, None, :] + np.asarray(pattern)[None]
+        dx, dy = cand[..., 0], cand[..., 1]
+        valid = ((self.dx_lo[idx, None] <= dx) & (dx <= self.dx_hi[idx, None])
+                 & (self.dy_lo[idx, None] <= dy) & (dy <= self.dy_hi[idx, None]))
+        rows, cols = np.nonzero(valid)
+        blk = idx[rows]
+        offs = list(zip(dx[rows, cols].tolist(), dy[rows, cols].tolist()))
+        memos = self.memos
+        vals = [memos[i].get(o) for i, o in zip(blk.tolist(), offs)]
+        miss = [j for j, v in enumerate(vals) if v is None]
+        if miss:
+            mb = blk[miss]
+            cy, cx = self.by[mb], self.bx[mb]
+            new = _window_sse(self.cur, self.ref, self.h, self.w, cy, cx,
+                              cy + dy[rows[miss], cols[miss]],
+                              cx + dx[rows[miss], cols[miss]])
+            for j, i, v in zip(miss, mb.tolist(), new):
+                memos[i][offs[j]] = v
+                vals[j] = v
+            self.stats.psnr_evals += len(miss)
+        sse = np.full(dx.shape, np.inf)
+        sse[rows, cols] = vals
+        order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), sse))
+        return cand[np.arange(len(idx)), order[:, 0]]
 
 
-def _diamond_search(s: _BlockSearcher) -> tuple[int, int]:
+def _diamond_search(b: _BlockBatch) -> np.ndarray:
     # Large diamond until its best point is the center, then one small step.
-    cx = cy = 0
-    while True:
-        bx, by = s.best((cx + ox, cy + oy) for ox, oy in _LDSP)
-        if (bx, by) == (cx, cy):
-            break
-        cx, cy = bx, by
-    return s.best((cx + ox, cy + oy) for ox, oy in _SDSP)
+    centers = np.zeros((b.n, 2), dtype=np.int64)
+    active = np.arange(b.n)
+    while active.size:
+        best = b.best(active, centers[active], _LDSP)
+        moved = np.any(best != centers[active], axis=1)
+        centers[active] = best
+        active = active[moved]
+    return b.best(np.arange(b.n), centers, _SDSP)
 
 
-def _three_step_search(s: _BlockSearcher) -> tuple[int, int]:
-    sr = s.cfg.search_range
+def _three_step_search(b: _BlockBatch) -> np.ndarray:
+    sr = b.cfg.search_range
+    centers = np.zeros((b.n, 2), dtype=np.int64)
     if sr == 0:
-        s.sse(0, 0)
-        return (0, 0)
+        return b.best(np.arange(b.n), centers, ((0, 0),))
     rounds = max(1, (sr - 1).bit_length())
     step = 1 << (rounds - 1)
-    cx = cy = 0
     while step >= 1:
-        cands = [(cx, cy)] + [(cx + ox * step, cy + oy * step) for ox, oy in _TSS_DIRS]
-        cx, cy = s.best(cands)
+        pattern = ((0, 0),) + tuple((ox * step, oy * step) for ox, oy in _TSS_DIRS)
+        centers = b.best(np.arange(b.n), centers, pattern)
         step //= 2
-    return (cx, cy)
+    return centers
 
 
-def _exhaustive_search(s: _BlockSearcher) -> tuple[int, int]:
-    sr = s.cfg.search_range
-    b = s.block
-    dy_lo = max(-sr, -b.y)
-    dy_hi = min(sr, s.ref_h - b.h - b.y)
-    dx_lo = max(-sr, -b.x)
-    dx_hi = min(sr, s.ref_w - b.w - b.x)
-    if dy_lo > dy_hi or dx_lo > dx_hi:
-        s.sse(0, 0)
-        return (0, 0)
-    region = s.ref[:, b.y + dy_lo:b.y + dy_hi + b.h, b.x + dx_lo:b.x + dx_hi + b.w]
-    windows = np.lib.stride_tricks.sliding_window_view(region, (b.h, b.w), axis=(1, 2))
-    d = windows - s.cblk.reshape(-1, 1, 1, b.h, b.w)
-    sse = np.einsum("cijhw,cijhw->ij", d, d)
-    dxs, dys = np.meshgrid(np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1))
-    s.stats.psnr_evals += sse.size
-    s.memo.update(zip(zip(dxs.ravel().tolist(), dys.ravel().tolist()),
-                      sse.ravel().tolist()))
-    order = np.lexsort((dxs.ravel(), dys.ravel(),
-                        (np.abs(dxs) + np.abs(dys)).ravel(), sse.ravel()))
-    i = int(order[0])
-    return (int(dxs.ravel()[i]), int(dys.ravel()[i]))
+def _exhaustive_search(b: _BlockBatch) -> np.ndarray:
+    out = np.zeros((b.n, 2), dtype=np.int64)
+    for i, blk in enumerate(b.blocks):
+        dx_lo, dx_hi = int(b.dx_lo[i]), int(b.dx_hi[i])
+        dy_lo, dy_hi = int(b.dy_lo[i]), int(b.dy_hi[i])
+        region = b.ref[:, blk.y + dy_lo:blk.y + dy_hi + blk.h,
+                       blk.x + dx_lo:blk.x + dx_hi + blk.w]
+        d = _windows(region, blk.h, blk.w) - b.cur[:, blk.y:blk.y2, blk.x:blk.x2]
+        sse = np.einsum("ijchw,ijchw->ij", d, d, dtype=np.int64).astype(np.float64)
+        dxs, dys = np.meshgrid(np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1))
+        b.stats.psnr_evals += sse.size
+        b.memos[i].update(zip(zip(dxs.ravel().tolist(), dys.ravel().tolist()),
+                              sse.ravel().tolist()))
+        order = np.lexsort((dxs.ravel(), dys.ravel(),
+                            (np.abs(dxs) + np.abs(dys)).ravel(), sse.ravel()))
+        j = int(order[0])
+        out[i] = (dxs.ravel()[j], dys.ravel()[j])
+    return out
 
 
 SEARCH_STRATEGIES = {
@@ -236,10 +256,12 @@ SEARCH_STRATEGIES = {
 }
 
 
-def _search_block(cur64, ref64, block, cfg, block_memo, stats) -> BlockMatch:
-    searcher = _BlockSearcher(cur64, ref64, block, cfg, block_memo, stats)
-    dx, dy = SEARCH_STRATEGIES[cfg.strategy](searcher)
-    return BlockMatch(block, (dx, dy), psnr_from_sse(searcher.sse(dx, dy), searcher.count))
+def _search_blocks(cur16, ref16, blocks, cfg, memos, stats) -> list[BlockMatch]:
+    """Step 2 for equal-sized blocks; memos[i] receives block i's SSE memo."""
+    batch = _BlockBatch(cur16, ref16, blocks, cfg, memos, stats)
+    offsets = SEARCH_STRATEGIES[cfg.strategy](batch).tolist()
+    return [BlockMatch(blk, (dx, dy), psnr_from_sse(memo[(dx, dy)], batch.count))
+            for blk, (dx, dy), memo in zip(blocks, offsets, memos)]
 
 
 def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> BlockMatch:
@@ -252,8 +274,8 @@ def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> Blo
         raise ValueError("cur and ref must have identical dimensions")
     if not Rect(0, 0, cur.width, cur.height).contains(block) or block.is_empty:
         raise ValueError(f"block {block} outside frame")
-    return _search_block(cur.data.astype(np.float64), ref.data.astype(np.float64),
-                         block, cfg, {}, MatchStats())
+    return _search_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
+                          [block], cfg, [{}], MatchStats())[0]
 
 
 def estimate_global_motion(matches: list[BlockMatch], threshold_t: float) -> tuple[int, int]:
@@ -277,30 +299,32 @@ def _round_half_away(numer: int, denom: int) -> int:
     return -((-2 * numer + denom) // (2 * denom))
 
 
-def _verify_blocks(cur64, ref64, grid, motion, cfg, memo, stats) -> list[Rect]:
+def _verify_blocks(cur16, ref16, grid, motion, cfg, memo, stats) -> list[Rect]:
     mx, my = motion
-    ref_h, ref_w = ref64.shape[1], ref64.shape[2]
-    verified = []
-    for block in grid:
-        x = block.x + mx
-        y = block.y + my
-        if x < 0 or y < 0 or x + block.w > ref_w or y + block.h > ref_h:
-            continue
-        sse = None
-        if cfg.reuse_memo:
+    ref_h, ref_w = ref16.shape[1], ref16.shape[2]
+    inside = [block for block in grid
+              if block.x + mx >= 0 and block.y + my >= 0
+              and block.x2 + mx <= ref_w and block.y2 + my <= ref_h]
+    sse = [None] * len(inside)
+    if cfg.reuse_memo:
+        for j, block in enumerate(inside):
             block_memo = memo.get((block.x, block.y))
             if block_memo is not None:
-                sse = block_memo.get((mx, my))
-                if sse is not None:
-                    stats.verify_memo_hits += 1
-        if sse is None:
-            d = (cur64[:, block.y:block.y2, block.x:block.x2]
-                 - ref64[:, y:y + block.h, x:x + block.w]).ravel()
-            sse = float(np.dot(d, d))
-            stats.psnr_evals += 1
-        if psnr_from_sse(sse, block.area * cur64.shape[0]) > cfg.threshold_t:
-            verified.append(block)
-    return verified
+                sse[j] = block_memo.get((mx, my))
+        stats.verify_memo_hits += sum(v is not None for v in sse)
+    by_size: dict[tuple[int, int], list[int]] = {}
+    for j, v in enumerate(sse):
+        if v is None:
+            by_size.setdefault((inside[j].h, inside[j].w), []).append(j)
+    for (h, w), js in by_size.items():
+        ys = np.array([inside[j].y for j in js])
+        xs = np.array([inside[j].x for j in js])
+        for j, v in zip(js, _window_sse(cur16, ref16, h, w, ys, xs, ys + my, xs + mx)):
+            sse[j] = v
+        stats.psnr_evals += len(js)
+    channels = cur16.shape[0]
+    return [block for block, v in zip(inside, sse)
+            if psnr_from_sse(v, block.area * channels) > cfg.threshold_t]
 
 
 def verify_blocks(cur: Frame, ref: Frame, grid: list[Rect], motion: tuple[int, int],
@@ -312,7 +336,7 @@ def verify_blocks(cur: Frame, ref: Frame, grid: list[Rect], motion: tuple[int, i
     psnr_memo is the per-block memo filled during Step 2; entries for the
     exact (motion) offset are reused instead of recomputed.
     """
-    return _verify_blocks(cur.data.astype(np.float64), ref.data.astype(np.float64),
+    return _verify_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
                           grid, motion, cfg, psnr_memo or {}, stats or MatchStats())
 
 
@@ -348,24 +372,22 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None) -> Ma
     cfg = cfg or MatcherConfig()
     if cur.data.shape != ref.data.shape:
         raise ValueError(f"frame dimensions differ: {cur.data.shape} vs {ref.data.shape}")
-    cur64 = cur.data.astype(np.float64)
-    ref64 = ref.data.astype(np.float64)
+    cur16 = cur.data.astype(np.int16)
+    ref16 = ref.data.astype(np.int16)
 
     grid = partition_grid(cur.width, cur.height, cfg.block_size)
     cols = cur.width // cfg.block_size
 
     stats = MatchStats()
-    memo: dict[tuple[int, int], dict] = {}
-    matches = []
-    for i, block in enumerate(grid):
-        if (i // cols) % cfg.skip_k or (i % cols) % cfg.skip_k:
-            continue
-        block_memo = memo.setdefault((block.x, block.y), {})
-        matches.append(_search_block(cur64, ref64, block, cfg, block_memo, stats))
-        stats.searches += 1
+    searched = [block for i, block in enumerate(grid)
+                if not ((i // cols) % cfg.skip_k or (i % cols) % cfg.skip_k)]
+    block_memos = [{} for _ in searched]
+    matches = _search_blocks(cur16, ref16, searched, cfg, block_memos, stats)
+    stats.searches += len(searched)
+    memo = {(block.x, block.y): m for block, m in zip(searched, block_memos)}
 
     motion = estimate_global_motion(matches, cfg.threshold_t)
-    verified = _verify_blocks(cur64, ref64, grid, motion, cfg, memo, stats)
+    verified = _verify_blocks(cur16, ref16, grid, motion, cfg, memo, stats)
     mappings = merge_blocks(verified, motion)
 
     covered = sum(m.dst.area for m in mappings)

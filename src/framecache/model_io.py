@@ -21,39 +21,24 @@ PPM's interleaved pixels are stored planar in Frame.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .core import Frame
-from .engine import LayerSpec, ModelGraph, preprocess  # noqa: F401  (preprocess re-exported)
-from .regions import LayerGeom, LayerType
+from .engine import OPS, LayerSpec, ModelGraph
+from .regions import LayerGeom
 
-_INT_KEYS = {"k", "s", "p", "out_ch", "out", "r"}
-_FLOAT_KEYS = {"alpha", "beta", "bias", "factor", "value"}
-
-# type → (required keys, optional keys with defaults)
-_LAYER_KEYS = {
-    "conv": ({"k", "out_ch"}, {"s": 1, "p": 0}),
-    "pool": ({"k"}, {"s": 1, "p": 0, "mode": "max"}),
-    "relu": (set(), {}),
-    "lrn": ({"r"}, {"alpha": 1e-4, "beta": 0.75, "bias": 1.0}),
-    "fc": ({"out"}, {}),
-    "softmax": (set(), {}),
-    "concat": (set(), {}),
-    "scale": ({"factor"}, {}),
-    "bias": ({"value"}, {}),
+# Model-text key → (value type, the LayerSpec field it sets, or the
+# LayerGeom field for window and radius keys).  Which keys each op takes,
+# and their defaults, are in engine.OPS.
+_KEY_FIELDS = {
+    "k": (int, "kernel"), "s": (int, "stride"), "p": (int, "pad"), "r": (int, "radius"),
+    "out_ch": (int, "out_channels"), "out": (int, "out_features"),
+    "mode": (str, "pool_mode"), "alpha": (float, "alpha"), "beta": (float, "beta"),
+    "bias": (float, "norm_bias"), "factor": (float, "factor"), "value": (float, "value"),
 }
-
-_GEOM_TYPES = {
-    "conv": LayerType.CONVOLUTION,
-    "pool": LayerType.POOLING,
-    "lrn": LayerType.LRN,
-    "fc": LayerType.FULLY_CONNECTED,
-    "softmax": LayerType.SOFTMAX,
-    "concat": LayerType.CONCAT,
-    "relu": LayerType.ELEMENTWISE,
-    "scale": LayerType.ELEMENTWISE,
-    "bias": LayerType.ELEMENTWISE,
-}
+_GEOM_FIELDS = {f.name for f in fields(LayerGeom)}
 
 
 class ModelParseError(ValueError):
@@ -62,17 +47,6 @@ class ModelParseError(ValueError):
 
 def _fail(line_no: int, msg: str):
     raise ModelParseError(f"line {line_no}: {msg}")
-
-
-def _parse_value(line_no: int, key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        _fail(line_no, f"bad numeric value for {key}: {raw!r}")
-    return raw
 
 
 def parse_model(text: str) -> ModelGraph:
@@ -110,7 +84,7 @@ def parse_model(text: str) -> ModelGraph:
         name, ltype = toks[0], toks[1]
         if "=" in name:
             _fail(no, f"missing layer name in {line!r}")
-        if ltype not in _LAYER_KEYS:
+        if ltype not in OPS:
             _fail(no, f"unknown layer type {ltype!r}")
         if name in names:
             _fail(no, f"duplicate layer name {name!r}")
@@ -127,23 +101,23 @@ def parse_model(text: str) -> ModelGraph:
             _fail(no, "missing or empty in= blob list")
         if not out_blob:
             _fail(no, "missing out= blob")
+        keys = OPS[ltype].keys
         kv = {}
         for tok in toks[2:-2]:
             if "=" not in tok:
                 _fail(no, f"expected key=value, got {tok!r}")
             key, _, raw = tok.partition("=")
-            required, optional = _LAYER_KEYS[ltype]
-            if key not in required and key not in optional:
+            if key not in keys:
                 _fail(no, f"unknown key {key!r} for type {ltype!r}")
-            kv[key] = _parse_value(no, key, raw)
-        required, optional = _LAYER_KEYS[ltype]
-        missing = required - kv.keys()
+            try:
+                kv[key] = _KEY_FIELDS[key][0](raw)
+            except ValueError:
+                _fail(no, f"bad numeric value for {key}: {raw!r}")
+        missing = [key for key, default in keys.items() if default is None and key not in kv]
         if missing:
             _fail(no, f"{ltype} requires {sorted(missing)}")
-        for key, default in optional.items():
+        for key, default in keys.items():
             kv.setdefault(key, default)
-        if ltype != "concat" and len(in_blobs) != 1:
-            _fail(no, f"{ltype} takes exactly one input blob")
         if out_blob in producer:
             _fail(no, f"duplicate blob producer for {out_blob!r}")
         producer[out_blob] = idx
@@ -158,63 +132,25 @@ def parse_model(text: str) -> ModelGraph:
                 _fail(no, f"undefined blob {b!r}")
             if producer[b] >= idx:
                 _fail(no, f"cycle detected: blob {b!r} is produced later")
-        dims = [blob_dims[b] for b in in_blobs]
-        spec = _build_spec(no, name, ltype, kv, in_blobs, out_blob)
-        blob_dims[out_blob] = _infer_dims(no, spec, dims)
+        try:
+            spec = _build_spec(name, ltype, kv, in_blobs, out_blob)
+            blob_dims[out_blob] = OPS[ltype].dims(spec, [blob_dims[b] for b in in_blobs])
+        except ValueError as e:
+            _fail(no, str(e))
         layers.append(spec)
 
     return ModelGraph(input_dims=(in_c, in_h, in_w), layers=layers, blob_dims=blob_dims)
 
 
-def _build_spec(no: int, name: str, ltype: str, kv: dict,
-                in_blobs: list[str], out_blob: str) -> LayerSpec:
-    gt = _GEOM_TYPES[ltype]
-    try:
-        if ltype in ("conv", "pool"):
-            geom = LayerGeom(gt, kernel=kv["k"], stride=kv["s"], pad=kv["p"])
-        elif ltype == "lrn":
-            geom = LayerGeom(gt, radius=kv["r"])
-        elif ltype == "concat":
-            geom = LayerGeom(gt, input_count=len(in_blobs))
-        else:
-            geom = LayerGeom(gt)
-    except ValueError as e:
-        _fail(no, str(e))
-    if ltype == "pool" and kv["mode"] not in ("max", "avg"):
-        _fail(no, f"pool mode must be max or avg, got {kv['mode']!r}")
-    return LayerSpec(
-        name=name, op=ltype, geom=geom, in_blobs=in_blobs, out_blob=out_blob,
-        out_channels=kv.get("out_ch", 0), out_features=kv.get("out", 0),
-        pool_mode=kv.get("mode", "max"), alpha=kv.get("alpha", 1e-4),
-        beta=kv.get("beta", 0.75), norm_bias=kv.get("bias", 1.0),
-        factor=kv.get("factor", 1.0), value=kv.get("value", 0.0),
-    )
-
-
-def _infer_dims(no: int, spec: LayerSpec, in_dims: list[tuple[int, int, int]]):
-    if spec.op == "concat":
-        hw = {(h, w) for _, h, w in in_dims}
-        if len(hw) != 1:
-            _fail(no, f"concat inputs disagree on spatial dims: {sorted(hw)}")
-        h, w = next(iter(hw))
-        return (sum(c for c, _, _ in in_dims), h, w)
-    c, h, w = in_dims[0]
-    if spec.op in ("conv", "pool"):
-        k, s, p = spec.geom.kernel, spec.geom.stride, spec.geom.pad
-        if h + 2 * p < k or w + 2 * p < k:
-            _fail(no, f"dimension mismatch: window k={k} exceeds padded input "
-                      f"{h + 2 * p}x{w + 2 * p}")
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        out_c = spec.out_channels if spec.op == "conv" else c
-        if spec.op == "conv" and out_c < 1:
-            _fail(no, "conv needs out_ch >= 1")
-        return (out_c, out_h, out_w)
-    if spec.op == "fc":
-        if spec.out_features < 1:
-            _fail(no, "fc needs out >= 1")
-        return (spec.out_features, 1, 1)
-    return (c, h, w)
+def _build_spec(name: str, ltype: str, kv: dict, in_blobs: list[str],
+                out_blob: str) -> LayerSpec:
+    geom_kw, spec_kw = {}, {}
+    for key, value in kv.items():
+        attr = _KEY_FIELDS[key][1]
+        (geom_kw if attr in _GEOM_FIELDS else spec_kw)[attr] = value
+    geom = LayerGeom(OPS[ltype].layer_type, **geom_kw)
+    return LayerSpec(name=name, op=ltype, geom=geom, in_blobs=in_blobs,
+                     out_blob=out_blob, **spec_kw)
 
 
 def serialize_model(graph: ModelGraph) -> str:
@@ -223,21 +159,9 @@ def serialize_model(graph: ModelGraph) -> str:
     out = [f"input {c} {h} {w}"]
     for s in graph.layers:
         parts = [s.name, s.op]
-        if s.op == "conv":
-            parts += [f"k={s.geom.kernel}", f"s={s.geom.stride}", f"p={s.geom.pad}",
-                      f"out_ch={s.out_channels}"]
-        elif s.op == "pool":
-            parts += [f"k={s.geom.kernel}", f"s={s.geom.stride}", f"p={s.geom.pad}",
-                      f"mode={s.pool_mode}"]
-        elif s.op == "lrn":
-            parts += [f"r={s.geom.radius}", f"alpha={s.alpha!r}", f"beta={s.beta!r}",
-                      f"bias={s.norm_bias!r}"]
-        elif s.op == "fc":
-            parts.append(f"out={s.out_features}")
-        elif s.op == "scale":
-            parts.append(f"factor={s.factor!r}")
-        elif s.op == "bias":
-            parts.append(f"value={s.value!r}")
+        for key in OPS[s.op].keys:
+            attr = _KEY_FIELDS[key][1]
+            parts.append(f"{key}={getattr(s.geom if attr in _GEOM_FIELDS else s, attr)}")
         parts.append("in=" + ",".join(s.in_blobs))
         parts.append(f"out={s.out_blob}")
         out.append(" ".join(parts))

@@ -42,7 +42,7 @@ class LayerGeom:
     """Geometry of one layer as seen by region propagation.
 
     kernel/stride/pad describe conv and pool windows; radius the LRN
-    half-window; input_count the number of concatenated inputs.
+    half-window.
     """
 
     layer_type: LayerType
@@ -50,7 +50,6 @@ class LayerGeom:
     stride: int = 1
     pad: int = 0
     radius: int = 0
-    input_count: int = 1
 
     def __post_init__(self):
         if self.layer_type in _WINDOWED:
@@ -58,8 +57,6 @@ class LayerGeom:
                 raise ValueError(f"bad window geometry {self}")
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
-        if self.layer_type is LayerType.CONCAT and self.input_count < 1:
-            raise ValueError("concat needs at least one input")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -80,7 +77,7 @@ def transform_region(rect: Rect, geom: LayerGeom,
 
     Pass out_w/out_h to clip the result to the output plane; padding can
     otherwise admit window positions past the plane's edge.  Concat is not
-    handled here (see concat_transform).
+    handled here (see concat_mappings).
     """
     if rect.is_empty:
         return EMPTY_RECT
@@ -110,21 +107,6 @@ def transform_region(rect: Rect, geom: LayerGeom,
 
     if out_w is not None and out_h is not None:
         out = rect_clip(out, out_w, out_h)
-    return out
-
-
-def concat_transform(rects: list[Rect], geom: LayerGeom) -> Rect:
-    """Rectangle reusable after channel concatenation: the intersection of
-    the per-input rectangles (use an empty rect for inputs lacking one)."""
-    if geom.layer_type is not LayerType.CONCAT:
-        raise ValueError(f"concat_transform needs a concat geom, got {geom.layer_type}")
-    if len(rects) != geom.input_count:
-        raise ValueError(f"expected {geom.input_count} rects, got {len(rects)}")
-    out = rects[0]
-    for r in rects[1:]:
-        out = rect_intersect(out, r)
-        if out.is_empty:
-            return EMPTY_RECT
     return out
 
 

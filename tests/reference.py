@@ -165,6 +165,43 @@ def exhaustive_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_r
     return best_off
 
 
+def diamond_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_range):
+    """Serial diamond search for one block; ties by (sse, |dx|+|dy|, dy, dx).
+
+    Large diamond until its best point is the center, then one small
+    diamond step.  Returns (dx, dy, sse, number of distinct offsets scored).
+    """
+    large = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (1, -1), (-1, 1), (1, 1))
+    small = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+    _, h, w = ref.shape
+    cblk = cur[:, block_y:block_y + block_h, block_x:block_x + block_w]
+    scored = {}
+
+    def best(cx, cy, pattern):
+        best_key = None
+        for ox, oy in pattern:
+            dx, dy = cx + ox, cy + oy
+            x, y = block_x + dx, block_y + dy
+            if (abs(dx) > search_range or abs(dy) > search_range
+                    or x < 0 or y < 0 or x + block_w > w or y + block_h > h):
+                continue
+            if (dx, dy) not in scored:
+                scored[(dx, dy)] = sse_int(cblk, ref[:, y:y + block_h, x:x + block_w])
+            key = (scored[(dx, dy)], abs(dx) + abs(dy), dy, dx)
+            if best_key is None or key < best_key:
+                best_key = key
+        return best_key[3], best_key[2]
+
+    cx = cy = 0
+    while True:
+        bx, by = best(cx, cy, large)
+        if (bx, by) == (cx, cy):
+            break
+        cx, cy = bx, by
+    dx, dy = best(cx, cy, small)
+    return dx, dy, scored[(dx, dy)], len(scored)
+
+
 def window_columns(rect_x, rect_w, k, stride, pad, limit=512):
     """Output columns whose window lies fully inside [rect_x, rect_x+rect_w),
     by brute force.  One axis of the receptive-field rule."""

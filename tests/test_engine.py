@@ -12,7 +12,7 @@ from framecache import (FeatureMap, Frame, LayerGeom, LayerSpec, LayerType,
                         build_reuse_bitmap, concat_forward, conv_forward,
                         conv_forward_cached, elementwise_forward, fc_forward,
                         load_weights, lrn_forward, parse_model, pool_forward,
-                        preprocess, random_weights, relu_forward, run_frame,
+                        preprocess, random_weights, relu_forward,
                         softmax_forward, synth_sequence)
 
 import reference
@@ -85,7 +85,13 @@ class TestConvForward:
         got = conv_forward(x, spec)
         want = reference.conv_naive(x.data, spec.weights, spec.biases, s, p)
         assert got.data.shape == want.shape
-        assert np.array_equal(got.data, want)
+        assert np.array_equal(bits(got.data), bits(want))
+        # With nothing to reuse the cached entry point computes every
+        # pixel, and copies none of the (here poisoned) cached values.
+        stale = FeatureMap(np.full_like(want, np.nan))
+        cached, computed, copied = conv_forward_cached(x, spec, stale, [])
+        assert np.array_equal(bits(cached.data), bits(want))
+        assert (computed, copied) == (want.size * c * k * k, 0)
 
     def test_one_by_one_doubles(self):
         x = rand_map(7, 2, 4, 4)
@@ -387,7 +393,7 @@ class TestConvForwardCached:
     def test_no_mappings_full_compute(self):
         x, spec, full = self.setup_case()
         out, computed, copied = conv_forward_cached(x, spec, full, [])
-        assert np.array_equal(out.data, full.data)
+        assert np.array_equal(bits(out.data), bits(full.data))
         assert copied == 0
         assert computed == 12 * 12 * 4 * 3 * 9
 
@@ -395,7 +401,7 @@ class TestConvForwardCached:
         x, spec, full = self.setup_case(1)
         m = [RegionMapping(dst=Rect(0, 0, 12, 12), src=Rect(0, 0, 12, 12))]
         out, computed, copied = conv_forward_cached(x, spec, full, m)
-        assert np.array_equal(out.data, full.data)
+        assert np.array_equal(bits(out.data), bits(full.data))
         assert computed == 0
         assert copied == 12 * 12 * 4
 
@@ -407,10 +413,10 @@ class TestConvForwardCached:
         assert copied == 5 * 4 * 4
         assert computed == (12 * 12 - 20) * 4 * 3 * 9
         # copied pixels come verbatim from the cache at the source offset
-        assert np.array_equal(out.data[:, 3:7, 2:7], stale.data[:, 1:5, 1:6])
+        assert np.array_equal(bits(out.data[:, 3:7, 2:7]), bits(stale.data[:, 1:5, 1:6]))
         # computed pixels are bit-identical to the plain convolution
         fresh = ~build_reuse_bitmap(m, 12, 12)
-        assert np.array_equal(out.data[:, fresh], full.data[:, fresh])
+        assert np.array_equal(bits(out.data[:, fresh]), bits(full.data[:, fresh]))
 
     def test_mac_identity(self):
         x, spec, full = self.setup_case(3)
@@ -427,7 +433,7 @@ class TestConvForwardCached:
         full = conv_forward(x, spec)  # 7x7 output
         m = [RegionMapping(dst=Rect(1, 1, 4, 4), src=Rect(1, 1, 4, 4))]
         out, _, _ = conv_forward_cached(x, spec, full, m)
-        assert np.array_equal(out.data, full.data)
+        assert np.array_equal(bits(out.data), bits(full.data))
 
 
 MODEL_TEXT = """\
@@ -607,9 +613,18 @@ class TestSession:
             _, metrics = plain.run_frame(f)
             assert metrics.flushed
 
-    def test_module_level_run_frame(self):
-        sess = make_session()
-        frame = synth_sequence(1, 32, 32)[0]
-        out, metrics = run_frame(sess, frame)
-        assert metrics.flushed
-        assert out.data.shape == (10, 1, 1)
+    def test_last_match_follows_the_frame(self):
+        # None after each flush; after a cache-assisted frame, that frame's
+        # own match, whose ratio is the one its metrics report.
+        sess = make_session(expire_n=3)
+        frames = synth_sequence(4, 32, 32, dx=2, dy=1, noise=0.005, seed=19)
+        seen = []
+        for f in frames:
+            _, metrics = sess.run_frame(f)
+            if metrics.flushed:
+                assert sess.last_match is None
+            else:
+                assert sess.last_match.match_ratio == metrics.match_ratio > 0.0
+                seen.append(sess.last_match)
+        assert len(seen) == 2 and seen[0] is not seen[1]
+        assert sess.last_match is None

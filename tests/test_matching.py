@@ -8,7 +8,8 @@ from framecache import (PSNR_MAX, BlockMatch, Frame, MatcherConfig, MatchStats,
                         merge_blocks, partition_grid, psnr, verify_blocks)
 from framecache.synth import synth_sequence
 
-from reference import exhaustive_search_ref, psnr_ref, sse_int
+from framecache.matching import _search_blocks
+from reference import diamond_search_ref, exhaustive_search_ref, psnr_ref, sse_int
 
 
 def noise_frame(seed, channels=1, h=24, w=24):
@@ -129,6 +130,35 @@ class TestBlockSearch:
             cfg = MatcherConfig(strategy="three-step", search_range=16)
             m = block_search(cur, ref, Rect(20, 20, 10, 10), cfg)
             assert m.offset == (dx, dy), (dx, dy, m.offset)
+
+    def test_lockstep_diamond_equals_serial_reference(self):
+        # every block of a grid searched at once must follow its own serial
+        # trajectory: same offset, same PSNR, same number of SSE evaluations
+        cfg = MatcherConfig(block_size=8, strategy="diamond", search_range=6)
+        pairs = [(noise_frame(s, channels=3, h=40, w=48),
+                  noise_frame(s + 70, channels=3, h=40, w=48)) for s in range(3)]
+        pairs += [texture_pair(dx, dy, seed=5, w=48, h=40, noise=0.05)
+                  for dx, dy in ((3, -2), (-5, 4))]
+        # two-level frames: many offsets tie on SSE, exercising the tie-break
+        rng = np.random.default_rng(8)
+        pairs += [tuple(Frame(rng.integers(0, 2, size=(1, 40, 48), dtype=np.uint8))
+                        for _ in range(2)) for _ in range(3)]
+        for ref, cur in pairs:
+            grid = partition_grid(cur.width, cur.height, 8)
+            stats = MatchStats()
+            matches = _search_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
+                                     grid, cfg, [{} for _ in grid], stats)
+            evals = 0
+            for block, m in zip(grid, matches):
+                dx, dy, sse, scored = diamond_search_ref(
+                    cur.data, ref.data, block.x, block.y, 8, 8, 6)
+                assert m.offset == (dx, dy)
+                assert m.psnr == pytest.approx(psnr_ref(
+                    cur.data[:, block.y:block.y2, block.x:block.x2],
+                    ref.data[:, block.y + dy:block.y2 + dy, block.x + dx:block.x2 + dx]),
+                    rel=1e-12)
+                evals += scored
+            assert stats.psnr_evals == evals
 
     def test_offsets_respect_range_and_bounds(self):
         cfg = MatcherConfig(block_size=8, search_range=3, strategy="diamond")

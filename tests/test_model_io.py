@@ -26,6 +26,8 @@ f1 fc out=10 in=b7 out=b8
 sm softmax in=b8 out=prob
 """
 
+AVG_POOL = "p2 pool k=2 mode=avg in=b7 out=b9\n"
+
 
 class TestParseModel:
     def test_conv_dims_example(self):
@@ -124,17 +126,36 @@ class TestParseModel:
             parse_model("input 1 8 8\na relu out=o in=data\n")
 
     def test_round_trip(self):
-        g = parse_model(FULL)
-        text = serialize_model(g)
-        g2 = parse_model(text)
-        assert g2.input_dims == g.input_dims
-        assert g2.blob_dims == g.blob_dims
-        assert [s.name for s in g2.layers] == [s.name for s in g.layers]
-        for a, b in zip(g.layers, g2.layers):
-            assert (a.op, a.geom, a.in_blobs, a.out_blob) == \
-                (b.op, b.geom, b.in_blobs, b.out_blob)
-            assert (a.alpha, a.beta, a.norm_bias, a.factor, a.value) == \
-                (b.alpha, b.beta, b.norm_bias, b.factor, b.value)
+        for g in (parse_model(FULL), parse_model(FULL + AVG_POOL)):
+            text = serialize_model(g)
+            g2 = parse_model(text)
+            assert g2.input_dims == g.input_dims
+            assert g2.blob_dims == g.blob_dims
+            assert [s.name for s in g2.layers] == [s.name for s in g.layers]
+            for a, b in zip(g.layers, g2.layers):
+                assert (a.op, a.geom, a.in_blobs, a.out_blob) == \
+                    (b.op, b.geom, b.in_blobs, b.out_blob)
+                assert (a.out_channels, a.out_features, a.pool_mode) == \
+                    (b.out_channels, b.out_features, b.pool_mode)
+                assert (a.alpha, a.beta, a.norm_bias, a.factor, a.value) == \
+                    (b.alpha, b.beta, b.norm_bias, b.factor, b.value)
+        assert g.layer("p2").pool_mode == "avg"
+
+    def test_serialized_text(self):
+        # Every key of every op, defaults written out, in a fixed order.
+        assert serialize_model(parse_model(FULL + AVG_POOL)) == (
+            "input 3 32 32\n"
+            "c1 conv k=5 s=2 p=2 out_ch=8 in=data out=b1\n"
+            "r1 relu in=b1 out=b2\n"
+            "n1 lrn r=2 alpha=0.0001 beta=0.75 bias=1.0 in=b2 out=b3\n"
+            "p1 pool k=3 s=2 p=1 mode=max in=b3 out=b4\n"
+            "sc scale factor=0.5 in=b4 out=b5a\n"
+            "bi bias value=1.0 in=b4 out=b5b\n"
+            "cc concat in=b5a,b5b out=b6\n"
+            "c2 conv k=3 s=1 p=0 out_ch=4 in=b6 out=b7\n"
+            "f1 fc out=10 in=b7 out=b8\n"
+            "sm softmax in=b8 out=prob\n"
+            "p2 pool k=2 s=1 p=0 mode=avg in=b7 out=b9\n")
 
 
 class TestWeights:

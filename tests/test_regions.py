@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framecache import (EMPTY_RECT, LayerGeom, LayerType, Rect, RegionMapping,
-                        concat_mappings, concat_transform, propagate_mappings,
-                        transform_mapping, transform_region)
+                        concat_mappings, propagate_mappings, transform_mapping,
+                        transform_region)
 
 from reference import window_columns
 
@@ -108,25 +108,28 @@ class TestOtherTransforms:
             transform_region(Rect(0, 0, 5, 5), LayerGeom(LayerType.CONCAT))
 
 
+def still(rect: Rect) -> RegionMapping:
+    """A mapping that reuses rect in place (zero offset)."""
+    return RegionMapping(dst=rect, src=rect)
+
+
 class TestConcatTransform:
+    """What concat does to reusable rectangles, through concat_mappings."""
+
     def test_intersection(self):
-        geom = LayerGeom(LayerType.CONCAT, input_count=2)
-        out = concat_transform([Rect(0, 0, 10, 10), Rect(5, 5, 10, 10)], geom)
-        assert out == Rect(5, 5, 5, 5)
+        out = concat_mappings([[still(Rect(0, 0, 10, 10))], [still(Rect(5, 5, 10, 10))]])
+        assert out == [still(Rect(5, 5, 5, 5))]
 
     def test_empty_input_kills(self):
-        geom = LayerGeom(LayerType.CONCAT, input_count=2)
-        assert concat_transform([Rect(0, 0, 10, 10), EMPTY_RECT], geom) == EMPTY_RECT
+        # a branch without mappings has an empty reusable region, even
+        # after the branches before it already agreed on one
+        a, b = [still(Rect(0, 0, 10, 10))], [still(Rect(2, 2, 10, 10))]
+        assert concat_mappings([a, b]) == [still(Rect(2, 2, 8, 8))]
+        assert concat_mappings([a, b, []]) == []
 
     def test_single_input_identity(self):
-        geom = LayerGeom(LayerType.CONCAT, input_count=1)
-        r = Rect(3, 4, 5, 6)
-        assert concat_transform([r], geom) == r
-
-    def test_count_mismatch(self):
-        geom = LayerGeom(LayerType.CONCAT, input_count=3)
-        with pytest.raises(ValueError):
-            concat_transform([Rect(0, 0, 1, 1)], geom)
+        a = [still(Rect(3, 4, 5, 6)), still(Rect(9, 4, 2, 2))]
+        assert concat_mappings([a]) == a
 
 
 class TestPropagateMappings:
