@@ -17,21 +17,26 @@ contain copies; expiration is the only bound on that compounding.
 What each layer op is (its model-text keys, propagation geometry, output
 dims and forward call) is stated once, in OPS.
 
-Numeric contract: all kernels accumulate in float64 with a fixed term
-order and store float32, so repeated runs (and the copy/compute split in
-cached convolution) are bit-reproducible.  One convolution kernel serves
-both the full and the cached path: it computes any set of output pixels,
-each as its bias plus its terms in a fixed order, so which pixels are
-computed together never changes a value.  Sums whose order is not fixed
-by a loop nest (fc dot products, softmax normalizers) are correctly
-rounded to float64, which is order-independent.  The fc layer gets there
-without summing exactly on its common path: a float64 matrix-vector
-product in any order comes with a rigorous error bound, and where every
-value inside that bound rounds to the same float32 the stored result is
-known; the rare rows where it does not (exact zeros, heavy cancellation,
-non-finite terms) are summed exactly with math.fsum.  Transcendentals in
-hot paths use numpy's vectorized forms; softmax uses scalar math.exp so
-its tiny head stays identical to a scalar reference.
+Numeric contract: all kernels accumulate in float64 and store float32,
+and every stored value is defined by a fixed formula, so repeated runs
+(and the copy/compute split in cached convolution) are bit-reproducible
+whatever the BLAS's blocking or thread count.  A convolution output is
+the float32 of its bias plus its terms added one at a time in (input
+channel, kernel row, kernel col) order; one convolution kernel serves
+both the full and the cached path and computes any set of output pixels,
+so which pixels are computed together never changes a value.  Sums whose
+order is not fixed by a formula (fc dot products, softmax normalizers)
+are correctly rounded to float64, which is order-independent.  Neither
+conv nor fc sums term by term on its common path: a float64 matrix
+product in whatever order the BLAS picks comes with a rigorous error
+bound covering its distance both to the exact sum and to any ordered
+one, and where every value inside that bound rounds to the same float32
+the stored result is known (_screen).  The rare entries where it does
+not (exact zeros, heavy cancellation, non-finite terms) are summed by
+the defining formula: in the fixed order for conv, exactly with
+math.fsum for fc.  Transcendentals in hot paths use numpy's vectorized
+forms; softmax uses scalar math.exp so its tiny head stays identical to
+a scalar reference.
 """
 
 from __future__ import annotations
@@ -221,31 +226,91 @@ def _check_conv(input: FeatureMap, spec: LayerSpec) -> tuple[int, int]:
     return _conv_dims(input.height, input.width, g.kernel, g.stride, g.pad)
 
 
+# Unit roundoff of float64, and its smallest normal magnitude.
+_U64 = 2.0 ** -53
+_TINY64 = float(np.finfo(np.float64).tiny)
+
+
+# Most float64 window values _conv_at gathers at once (512 KB, which keeps
+# a chunk in a core's L2 cache), so its memory stays bounded whatever the
+# layer size.
+_CHUNK_ELEMS = 1 << 16
+
+
+def _screen(s: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Settle sums of n float64 terms from a product in unknown order.
+
+    s is the terms' sum, computed in any order, and a the sum of their
+    magnitudes, computed likewise.  Returns the float32 array that holds
+    the stored result wherever it is settled, and the boolean mask of the
+    entries that are not.
+
+    Summing n float64 terms in any order lands within
+    gamma = (n-1)*u/(1-(n-1)*u) times the sum of their magnitudes of the
+    exact sum (u = 2**-53), so any two orders land within 2*gamma of each
+    other; the computed a is off by the same relative gamma.  So err = 4*n*u*a + tiny
+    bounds, with margin while n*u is small, both the distance from s to
+    the exact sum and the distance from s to the sum in any fixed order.
+    [s - err, s + err], widened outward by one ulp to absorb the rounding
+    of the subtraction and addition, holds both.  Rounding to float64 and
+    then to float32 is monotone, so where both ends of that interval store
+    as the same float32 bit pattern, so do the correctly rounded sum and
+    every ordered one: that entry is settled.  Exact zeros (whose ends
+    store as -0.0 and +0.0), sums that cancel to near a float32 rounding
+    boundary and non-finite bounds are left unsettled.
+    """
+    err = (4.0 * n * _U64) * a + _TINY64
+    out = np.nextafter(s - err, -np.inf).astype(np.float32)
+    hi = np.nextafter(s + err, np.inf).astype(np.float32)
+    return out, ~np.isfinite(err) | (out.view(np.uint32) != hi.view(np.uint32))
+
+
 def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
              idx_x: np.ndarray) -> np.ndarray:
     """Convolution outputs at the output pixels (idx_y[i], idx_x[i]), as a
     float32 (out_ch, n) array.  Zero padding, square kernel, per-channel
     bias.
 
-    Accumulates in float64, per output pixel strictly as bias first, then
-    terms in (input channel, kernel row, kernel col) ascending order; the
-    pixels are vectorized, which does not reorder any pixel's sum, so a
-    pixel's value does not depend on which other pixels are computed.
+    Each output stores the float32 of its fixed-order float64 sum: bias
+    first, then the weight*input terms in (input channel, kernel row,
+    kernel col) ascending order, added one at a time.  The pixels' windows
+    are gathered as im2col rows, at most _CHUNK_ELEMS values at a time,
+    and multiplied by the weights in float64 in whatever order the BLAS
+    picks; _screen settles every entry whose error interval stores as one
+    float32, which is then the fixed-order sum's.  The few entries it
+    leaves unsettled (exact zeros, near-ties, non-finite terms) have their
+    windows gathered again and are summed in the fixed order by one
+    sequential np.add.accumulate.  So a pixel's value depends neither on
+    which other pixels are computed with it nor on the chunking.
     """
     k, s, p = spec.geom.kernel, spec.geom.stride, spec.geom.pad
-    w64 = spec.weights.astype(np.float64)
+    out_ch = spec.weights.shape[0]
+    w64 = spec.weights.astype(np.float64).reshape(out_ch, -1)
+    b64 = spec.biases.astype(np.float64)
+    w_abs = np.abs(w64)
     padded = _pad_input(input.data.astype(np.float64), p)
-    plane_w = padded.shape[2]
-    # Flat index of each pixel's window corner within one padded plane.
-    corner = idx_y * (s * plane_w) + idx_x * s
-    acc = np.empty((w64.shape[0], idx_y.size), dtype=np.float64)
-    acc[:] = spec.biases.astype(np.float64)[:, None]
-    for ic in range(w64.shape[1]):
-        plane = padded[ic].ravel()
-        for ky in range(k):
-            for kx in range(k):
-                acc += w64[:, ic, ky, kx][:, None] * plane.take(corner + (ky * plane_w + kx))
-    return acc.astype(np.float32)
+    # (out_y, out_x, in_ch, ky, kx) view of every output pixel's window.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (k, k), axis=(1, 2))[:, ::s, ::s].transpose(1, 2, 0, 3, 4)
+    n_cols = w64.shape[1]
+    sums = np.empty((idx_y.size, out_ch))
+    bound = np.empty((idx_y.size, out_ch))
+    step = max(1, _CHUNK_ELEMS // n_cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, idx_y.size, step):
+            px = slice(lo, lo + step)
+            cols = windows[idx_y[px], idx_x[px]].reshape(-1, n_cols)
+            np.matmul(cols, w64.T, out=sums[px])
+            np.matmul(np.abs(cols, out=cols), w_abs.T, out=bound[px])
+        sums += b64
+        bound += np.abs(b64)
+        out, unsettled = _screen(sums, bound, n_cols + 1)
+        pix, ch = np.nonzero(unsettled)
+        if pix.size:
+            cols = windows[idx_y[pix], idx_x[pix]].reshape(-1, n_cols)
+            terms = np.concatenate([b64[ch, None], w64[ch] * cols], axis=1)
+            out[pix, ch] = np.add.accumulate(terms, axis=1)[:, -1]
+    return np.ascontiguousarray(out.T)
 
 
 def conv_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
@@ -359,11 +424,6 @@ def lrn_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     return FeatureMap((x64 / denom).astype(np.float32))
 
 
-# Unit roundoff of float64, and its smallest normal magnitude.
-_U64 = 2.0 ** -53
-_TINY64 = float(np.finfo(np.float64).tiny)
-
-
 def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     """Dense layer over the flattened (channel-major) input.
 
@@ -371,23 +431,16 @@ def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     weight*input products, stored as float32.  The products are exact in
     float64 (two float32 mantissas fit, and their exponents neither
     overflow nor underflow), so the result depends on no summation order.
-    (Wider weights give rounded products; the bound below has the margin
-    to cover that rounding too, so the result is still that of fsum.)
+    (Wider weights give rounded products; the screen's bound has the
+    margin to cover that rounding too, so the result is still that of
+    fsum.)
 
-    Every row is first summed by a float64 matrix-vector product, s, in
-    whatever order the BLAS picks.  Summing n exact terms in any order is
-    off by at most (n-1)*u/(1-(n-1)*u) times the sum of their magnitudes
-    (u = 2**-53), and the magnitudes' own computed sum a is off by the same
-    relative amount, so err = 2*n*u*a + tiny bounds |s - exact| with
-    margin while n*u is small.  [s - err, s + err], widened outward by one
-    ulp to absorb the rounding of the subtraction and addition, holds the
-    exact sum.  Rounding to float64 and then to float32 is monotone, so
-    when both ends of that interval store as the same float32 bit
-    pattern, so does the exact sum.  The other rows (exact zeros, whose
-    ends store as -0.0 and +0.0; sums that cancel to near a float32
-    rounding boundary; non-finite terms) are summed exactly by math.fsum,
-    bias first, which also keeps its +0.0 for an exact zero and its
-    ValueError for inf - inf.
+    Every row is first summed by a float64 matrix-vector product in
+    whatever order the BLAS picks, and _screen settles the rows whose
+    error interval stores as one float32.  The other rows (exact zeros,
+    sums that cancel to near a float32 rounding boundary, non-finite
+    terms) are summed exactly by math.fsum, bias first, which also keeps
+    its +0.0 for an exact zero and its ValueError for inf - inf.
     """
     _require_weights(spec)
     x64 = input.data.astype(np.float64).ravel()
@@ -396,15 +449,12 @@ def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     if w64.shape[1] != x64.size:
         raise ValueError(f"layer {spec.name!r}: fc expects {w64.shape[1]} inputs, "
                          f"got {x64.size}")
-    n = x64.size + 1
     with np.errstate(over="ignore", invalid="ignore"):
         s = w64 @ x64 + b64
         # w64 is this call's own copy; taking |w| in place saves an allocation.
         a = np.abs(w64, out=w64) @ np.abs(x64) + np.abs(b64)
-        err = (2.0 * n * _U64) * a + _TINY64
-        out = np.nextafter(s - err, -np.inf).astype(np.float32)
-        hi = np.nextafter(s + err, np.inf).astype(np.float32)
-        rows = np.flatnonzero(~np.isfinite(err) | (out.view(np.uint32) != hi.view(np.uint32)))
+        out, unsettled = _screen(s, a, x64.size + 1)
+        rows = np.flatnonzero(unsettled)
         if rows.size:
             exact = [math.fsum([float(b64[r])]
                                + (spec.weights[r].astype(np.float64) * x64).tolist())

@@ -70,15 +70,51 @@ class TestPreprocess:
         assert out.data[0, 0, 1] == np.float32(1.0)
 
 
+# (in channels, height, width, kernel, out channels, stride, pad)
+CONV_SHAPES = [
+    (1, 5, 5, 3, 1, 1, 0),
+    (3, 8, 7, 3, 4, 1, 1),
+    (2, 9, 9, 5, 3, 2, 2),
+    (4, 6, 10, 1, 2, 1, 0),
+    (1, 7, 7, 3, 2, 3, 0),
+    (2, 11, 8, 4, 3, 2, 1),
+]
+
+# Finite float32 values from zero and subnormals through 1e-30 up to 2**100
+# (about 1.3e30) for weights, up to 2**24 for inputs, so that most
+# products and sums stay inside the float32 range.
+WEIGHT_VALUES = st.floats(min_value=-(2.0 ** 100), max_value=2.0 ** 100, width=32)
+INPUT_VALUES = st.floats(min_value=-(2.0 ** 24), max_value=2.0 ** 24, width=32)
+
+
+@st.composite
+def conv_cases(draw):
+    """(input map, spec) on shapes small enough for conv_naive.  Half the
+    cases stack the input on itself and the weights on their negation, so
+    every window's terms cancel exactly to the bias, which is then often
+    zero; some inputs hold infinities or NaNs."""
+    in_ch, k, s, p, out_ch = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+                              draw(st.integers(1, 2)), draw(st.integers(0, 1)),
+                              draw(st.integers(1, 3)))
+    h, w = draw(st.integers(max(1, k - 2 * p), 5)), draw(st.integers(max(1, k - 2 * p), 5))
+    x = draw(arrays(np.float32, (in_ch, h, w), elements=INPUT_VALUES, fill=st.nothing()))
+    wt = draw(arrays(np.float32, (out_ch, in_ch, k, k), elements=WEIGHT_VALUES,
+                     fill=st.nothing()))
+    b = draw(arrays(np.float32, out_ch, elements=WEIGHT_VALUES, fill=st.nothing()))
+    if draw(st.booleans()):
+        x = np.concatenate([x, x])
+        wt = np.concatenate([wt, -wt], axis=1)
+        b = draw(st.sampled_from([b, np.zeros_like(b), -np.zeros_like(b)]))
+    for _ in range(draw(st.integers(0, 2))):
+        spot = tuple(draw(st.integers(0, n - 1)) for n in x.shape)
+        x[spot] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    spec = conv_spec(k, out_ch, s, p, in_ch=x.shape[0])
+    spec.weights, spec.biases = wt, b
+    return fmap(x), spec
+
+
 class TestConvForward:
-    @pytest.mark.parametrize("c,h,w,k,out_ch,s,p", [
-        (1, 5, 5, 3, 1, 1, 0),
-        (3, 8, 7, 3, 4, 1, 1),
-        (2, 9, 9, 5, 3, 2, 2),
-        (4, 6, 10, 1, 2, 1, 0),
-        (1, 7, 7, 3, 2, 3, 0),
-        (2, 11, 8, 4, 3, 2, 1),
-    ])
+    @pytest.mark.parametrize("c,h,w,k,out_ch,s,p", CONV_SHAPES)
     def test_matches_naive_bitwise(self, c, h, w, k, out_ch, s, p):
         x = rand_map(hash((c, h, w, k)) % 2**32, c, h, w)
         spec = conv_spec(k, out_ch, s, p, in_ch=c, seed=k + s)
@@ -92,6 +128,53 @@ class TestConvForward:
         cached, computed, copied = conv_forward_cached(x, spec, stale, [])
         assert np.array_equal(bits(cached.data), bits(want))
         assert (computed, copied) == (want.size * c * k * k, 0)
+
+    @pytest.mark.parametrize("c,h,w,k,out_ch,s,p", CONV_SHAPES)
+    def test_fixed_order_fallback_across_chunks(self, monkeypatch, c, h, w, k, out_ch, s, p):
+        # A screen that settles nothing sends every entry down the fixed-order
+        # path, and chunks of three pixels split every row of the output.
+        def settle_nothing(sums, bound, n):
+            return sums.astype(np.float32), np.ones(sums.shape, dtype=bool)
+
+        monkeypatch.setattr(engine, "_screen", settle_nothing)
+        monkeypatch.setattr(engine, "_CHUNK_ELEMS", 3 * c * k * k)
+        x = rand_map(hash((c, h, w, k)) % 2**32, c, h, w)
+        spec = conv_spec(k, out_ch, s, p, in_ch=c, seed=k + s)
+        want = bits(reference.conv_naive(x.data, spec.weights, spec.biases, s, p))
+        assert np.array_equal(bits(conv_forward(x, spec).data), want)
+        stale = FeatureMap(np.full(want.shape, np.nan, dtype=np.float32))
+        assert np.array_equal(bits(conv_forward_cached(x, spec, stale, [])[0].data), want)
+
+    def test_all_zero_window_stores_positive_zero(self, monkeypatch):
+        # Zero inputs (and zero padding) under zero biases: every sum is an
+        # exact zero, which the screen leaves unsettled, and the fixed-order
+        # path stores +0.0 however the weights' signs make the terms -0.0.
+        unsettled = []
+        screen = engine._screen
+
+        def counting(sums, bound, n):
+            out, mask = screen(sums, bound, n)
+            unsettled.append(int(mask.sum()))
+            return out, mask
+
+        monkeypatch.setattr(engine, "_screen", counting)
+        x = fmap(np.zeros((2, 4, 4)))
+        spec = conv_spec(3, 3, 1, 1, in_ch=2)
+        spec.biases = np.zeros(3, dtype=np.float32)
+        got = bits(conv_forward(x, spec).data)
+        assert sum(unsettled) == got.size
+        assert np.array_equal(got, bits(reference.conv_naive(x.data, spec.weights,
+                                                              spec.biases, 1, 1)))
+        assert not got.any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(conv_cases())
+    def test_matches_naive_on_extreme_values(self, case):
+        x, spec = case
+        g = spec.geom
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = reference.conv_naive(x.data, spec.weights, spec.biases, g.stride, g.pad)
+        assert np.array_equal(bits(conv_forward(x, spec).data), bits(want))
 
     def test_one_by_one_doubles(self):
         x = rand_map(7, 2, 4, 4)
@@ -188,13 +271,6 @@ def fc_layer(weights, biases) -> LayerSpec:
     return spec
 
 
-# Finite float32 values from zero and subnormals through 1e-30 up to 2**100
-# (about 1.3e30) for weights, up to 2**24 for inputs, so that most
-# products and sums stay inside the float32 range.
-FC_WEIGHTS = st.floats(min_value=-(2.0 ** 100), max_value=2.0 ** 100, width=32)
-FC_INPUTS = st.floats(min_value=-(2.0 ** 24), max_value=2.0 ** 24, width=32)
-
-
 @st.composite
 def fc_cases(draw):
     """(input map, weights, biases).  Half the cases mirror every row so
@@ -202,9 +278,9 @@ def fc_cases(draw):
     bias too: those sums are exactly zero and must store +0.0."""
     out_f = draw(st.integers(1, 5))
     in_f = draw(st.integers(1, 12))
-    w = draw(arrays(np.float32, (out_f, in_f), elements=FC_WEIGHTS, fill=st.nothing()))
-    x = draw(arrays(np.float32, in_f, elements=FC_INPUTS, fill=st.nothing()))
-    b = draw(arrays(np.float32, out_f, elements=FC_WEIGHTS, fill=st.nothing()))
+    w = draw(arrays(np.float32, (out_f, in_f), elements=WEIGHT_VALUES, fill=st.nothing()))
+    x = draw(arrays(np.float32, in_f, elements=INPUT_VALUES, fill=st.nothing()))
+    b = draw(arrays(np.float32, out_f, elements=WEIGHT_VALUES, fill=st.nothing()))
     if draw(st.booleans()):
         w = np.concatenate([w, -w[:, ::-1]], axis=1)
         x = np.concatenate([x, x[::-1]])
@@ -297,6 +373,48 @@ class TestFcForward:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             fc_forward(rand_map(0, 2, 3, 3), self.fc_spec(4, 10))
+
+
+class TestScreen:
+    @pytest.mark.parametrize("n", [4, 12, 40, 400])
+    def test_settles_only_the_fixed_order_sum(self, n):
+        # The sums a BLAS returns may sit anywhere within
+        # gamma = (n-1)*u/(1-(n-1)*u) times the terms' magnitude of the exact
+        # sum, and the sequential bias-first sum may sit as far off on the
+        # other side.  Put s at either end of that range: wherever the screen
+        # settles an entry, it must hold the float32 of the sequential sum.
+        # The terms are built so that order matters: a unit bias, n-2 terms
+        # each below half an ulp of 1, which the sequential sum drops
+        # one by one, and a last term cancelling the unit down to a residue
+        # whose float32 ulp is a few times the bound's width, so that most
+        # entries settle and some dropped masses cross a float32 rounding
+        # boundary.  A screen covering only the distance to the exact sum
+        # settles some of those on the wrong side.
+        rng = np.random.default_rng(n)
+        rows = 4000
+        small = rng.uniform(0.5, 1.0, size=(rows, n - 2)) * 2.0 ** -53
+        residue = rng.uniform(1.0, 8.0, size=rows) * (n * 2.0 ** -26)
+        terms = np.concatenate([np.ones((rows, 1)), small, (residue - 1.0)[:, None]], axis=1)
+        terms *= rng.choice([-1.0, 1.0], size=(rows, 1))
+        seq = np.add.accumulate(terms, axis=1)[:, -1].astype(np.float32)
+        exact = np.array([math.fsum(t) for t in terms])
+        mass = np.array([math.fsum(t) for t in np.abs(terms)])
+        gamma = (n - 1) * 2.0 ** -53 / (1 - (n - 1) * 2.0 ** -53)
+        assert np.any(seq != exact.astype(np.float32))
+        settled = 0
+        for side in (-1.0, 1.0):
+            s = exact + side * gamma * mass
+            out, unsettled = engine._screen(s, np.abs(terms).sum(axis=1), n)
+            assert np.array_equal(bits(out[~unsettled]), bits(seq[~unsettled]))
+            settled += int((~unsettled).sum())
+        assert settled > rows
+
+    def test_non_finite_bounds_stay_unsettled(self):
+        s = np.array([1.0, np.inf, np.nan, 1.0])
+        a = np.array([1.0, np.inf, np.nan, np.inf])
+        with np.errstate(invalid="ignore"):
+            _, unsettled = engine._screen(s, a, 3)
+        assert unsettled.tolist() == [False, True, True, True]
 
 
 class TestSoftmax:
