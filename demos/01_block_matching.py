@@ -21,12 +21,14 @@ def main():
 
     print("Step 1: partition the current frame into a block grid")
     grid = partition_grid(cur.width, cur.height, cfg.block_size)
-    print(f"  {len(grid)} blocks of {cfg.block_size}x{cfg.block_size}; "
-          f"margins beyond {6 * 10}x{6 * 10} px are never cached\n")
+    cols = cur.width // cfg.block_size
+    rows = len(grid) // cols
+    print(f"  {len(grid)} blocks of {cfg.block_size}x{cfg.block_size}; margins beyond "
+          f"{cols * cfg.block_size}x{rows * cfg.block_size} px are never cached\n")
 
     print("Step 2: diamond-search a subsample of blocks (skip_k=2)")
     searched = [b for i, b in enumerate(grid)
-                if (i // 6) % cfg.skip_k == 0 and (i % 6) % cfg.skip_k == 0]
+                if (i // cols) % cfg.skip_k == 0 and (i % cols) % cfg.skip_k == 0]
     matches = [block_search(cur, ref, b, cfg) for b in searched]
     for m in matches[:5]:
         print(f"  block at ({m.block.x:2d},{m.block.y:2d}) -> offset {m.offset}, "
@@ -53,8 +55,7 @@ def main():
     s = result.stats
     print(f"  match_ratio {result.match_ratio:.3f}, motion {result.global_motion}, "
           f"{len(result.mappings)} mapping(s)")
-    print(f"  {s.searches} searches, {s.psnr_evals} PSNR evaluations, "
-          f"{s.verify_memo_hits} verification memo hits")
+    print(f"  {s.searches} searches, {s.psnr_evals} PSNR evaluations")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Subcommands:
   run           run a model over a frame directory, write per-frame CSV + JSON summary
   compare       run cached and uncached in lockstep, report output divergence (JSON)
   sweep         repeat compare over a range of one parameter, write a CSV table
-  bench-matcher time the block matcher per strategy and optimization setting (CSV)
+  bench-matcher time the block matcher per strategy, with and without --skip-k (CSV)
   synth         generate a seeded synthetic PNM frame sequence (and optional weights)
 
 Frames are consumed from a directory in lexicographic filename order.  CSV
@@ -235,8 +235,7 @@ def cmd_bench_matcher(args) -> int:
         for optimized in (False, True):
             cfg = MatcherConfig(block_size=args.block_size, threshold_t=args.threshold,
                                 skip_k=args.skip_k if optimized else 1,
-                                search_range=args.search_range,
-                                strategy=strategy, reuse_memo=optimized)
+                                search_range=args.search_range, strategy=strategy)
             times = []
             ratios = []
             for ref, cur in pairs:
@@ -323,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench-matcher", parents=[matcher],
-                       help="time the matcher per strategy and optimization")
+                       help="time the matcher per strategy, searching every block "
+                            "(optimized=false) and every --skip-k-th (optimized=true)")
     p.add_argument("--frames", required=True)
     p.add_argument("--strategies", default=",".join(sorted(SEARCH_STRATEGIES)))
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")

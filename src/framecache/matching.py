@@ -11,8 +11,9 @@ channels, peak value 255).  Identical blocks score the finite sentinel
 ``PSNR_MAX`` so the metric stays totally ordered.
 
 Two accelerations are built in: Step 2 can search only every k-th grid row
-and column (``skip_k``), and PSNR values computed during the search are
-memoized so Step 4 re-verification can reuse them instead of recomputing.
+and column (``skip_k``), and every SSE the search computes lands in one
+table per search, indexed by block and offset, so Step 4 re-verification
+reads the ones at the global motion instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EMPTY_RECT, Frame, Rect, RegionMapping
+from .core import Frame, Rect, RegionMapping
 
 PSNR_MAX = 100.0
 
@@ -41,7 +42,6 @@ class MatcherConfig:
     skip_k: grid stride for Step-2 searches (1 = search every block).
     search_range: maximum |offset| per axis explored by the block search.
     strategy: block-search strategy name; see SEARCH_STRATEGIES.
-    reuse_memo: let Step 4 reuse PSNR values memoized during Step 2.
     """
 
     block_size: int = 10
@@ -49,7 +49,6 @@ class MatcherConfig:
     skip_k: int = 2
     search_range: int = 16
     strategy: str = "diamond"
-    reuse_memo: bool = True
 
     def __post_init__(self):
         if self.block_size < 1:
@@ -80,7 +79,6 @@ class MatchStats:
 
     searches: int = 0        # Step-2 block_search invocations
     psnr_evals: int = 0      # block-pair PSNR (SSE) computations, all steps
-    verify_memo_hits: int = 0  # Step-4 lookups served from the Step-2 memo
 
 
 @dataclass(frozen=True)
@@ -129,43 +127,49 @@ def _windows(frame: np.ndarray, h: int, w: int) -> np.ndarray:
         frame, (h, w), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
 
 
-def _window_sse(cur16, ref16, h: int, w: int, cy, cx, ry, rx) -> list[float]:
+def _window_sse(cur16, ref16, h: int, w: int, cy, cx, ry, rx) -> np.ndarray:
     """SSE between the h x w windows of cur at (cy, cx) and of ref at (ry, rx).
 
     The frames are int16 copies of 8-bit data, so differences are exact and
     the int64 sums equal the exact squared-error sums.
     """
-    d = _windows(ref16, h, w)[ry, rx].reshape(len(ry), -1)
-    d -= _windows(cur16, h, w)[cy, cx].reshape(len(cy), -1)
-    return np.einsum("nk,nk->n", d, d, dtype=np.int64).astype(np.float64).tolist()
+    d = _windows(ref16, h, w)[ry, rx].reshape(len(ry), ref16.shape[0] * h * w)
+    d -= _windows(cur16, h, w)[cy, cx].reshape(d.shape)
+    return np.einsum("nk,nk->n", d, d, dtype=np.int64).astype(np.float64)
 
 
 class _BlockBatch:
     """Candidate evaluation for equal-sized blocks searched in lockstep.
 
-    Each block keeps its own SSE memo (offset -> SSE) and its own search
-    trajectory; a search step scores the pattern around every block's center
-    with one gather over the frames.  SSE values are exact, so they are
-    identical no matter which code path or summation order produced them.
+    Every SSE scored for block i at offset (dx, dy) is kept in
+    ``sse[i, dy + r, dx + r]``, NaN until scored.  The radius r is the
+    search range capped by the largest offset the frame admits, so the
+    table never outgrows the frame.  Each block follows its own search
+    trajectory; a search step scores the pattern around every block's
+    center with one gather over the frames.  SSE values are exact, so they
+    are identical no matter which code path or summation order produced
+    them.
     """
 
     def __init__(self, cur16, ref16, blocks: list[Rect], cfg: MatcherConfig,
-                 memos: list[dict], stats: MatchStats):
+                 stats: MatchStats):
         self.h, self.w = blocks[0].h, blocks[0].w
         self.cur = cur16
         self.ref = ref16
         self.blocks = blocks
         self.cfg = cfg
-        self.memos = memos
         self.stats = stats
         self.count = cur16.shape[0] * self.h * self.w
         self.bx = np.array([blk.x for blk in blocks])
         self.by = np.array([blk.y for blk in blocks])
+        ref_h, ref_w = ref16.shape[1], ref16.shape[2]
         sr = cfg.search_range
         self.dx_lo = np.maximum(-sr, -self.bx)
-        self.dx_hi = np.minimum(sr, ref16.shape[2] - self.w - self.bx)
+        self.dx_hi = np.minimum(sr, ref_w - self.w - self.bx)
         self.dy_lo = np.maximum(-sr, -self.by)
-        self.dy_hi = np.minimum(sr, ref16.shape[1] - self.h - self.by)
+        self.dy_hi = np.minimum(sr, ref_h - self.h - self.by)
+        self.r = r = min(sr, max(ref_h - self.h, ref_w - self.w))
+        self.sse = np.full((len(blocks), 2 * r + 1, 2 * r + 1), np.nan)
 
     @property
     def n(self) -> int:
@@ -174,29 +178,23 @@ class _BlockBatch:
     def best(self, idx: np.ndarray, centers: np.ndarray, pattern) -> np.ndarray:
         """Per block idx[i], the lowest-SSE in-range offset of centers[i] + pattern.
 
-        Ties prefer small |dx|+|dy|, then dy, then dx.  Offsets not yet in a
-        block's memo are scored in one gather and memoized.
+        Ties prefer small |dx|+|dy|, then dy, then dx.  Offsets not yet in
+        the table are scored in one gather and written back.
         """
         cand = centers[:, None, :] + np.asarray(pattern)[None]
         dx, dy = cand[..., 0], cand[..., 1]
         valid = ((self.dx_lo[idx, None] <= dx) & (dx <= self.dx_hi[idx, None])
                  & (self.dy_lo[idx, None] <= dy) & (dy <= self.dy_hi[idx, None]))
         rows, cols = np.nonzero(valid)
-        blk = idx[rows]
-        offs = list(zip(dx[rows, cols].tolist(), dy[rows, cols].tolist()))
-        memos = self.memos
-        vals = [memos[i].get(o) for i, o in zip(blk.tolist(), offs)]
-        miss = [j for j, v in enumerate(vals) if v is None]
-        if miss:
-            mb = blk[miss]
-            cy, cx = self.by[mb], self.bx[mb]
-            new = _window_sse(self.cur, self.ref, self.h, self.w, cy, cx,
-                              cy + dy[rows[miss], cols[miss]],
-                              cx + dx[rows[miss], cols[miss]])
-            for j, i, v in zip(miss, mb.tolist(), new):
-                memos[i][offs[j]] = v
-                vals[j] = v
-            self.stats.psnr_evals += len(miss)
+        blk, vdx, vdy = idx[rows], dx[rows, cols], dy[rows, cols]
+        at = (blk, vdy + self.r, vdx + self.r)
+        vals = self.sse[at]
+        miss = np.isnan(vals)
+        mb, my, mx = blk[miss], vdy[miss], vdx[miss]
+        cy, cx = self.by[mb], self.bx[mb]
+        vals[miss] = _window_sse(self.cur, self.ref, self.h, self.w, cy, cx, cy + my, cx + mx)
+        self.sse[at] = vals
+        self.stats.psnr_evals += len(mb)
         sse = np.full(dx.shape, np.inf)
         sse[rows, cols] = vals
         order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), sse))
@@ -240,8 +238,7 @@ def _exhaustive_search(b: _BlockBatch) -> np.ndarray:
         sse = np.einsum("ijchw,ijchw->ij", d, d, dtype=np.int64).astype(np.float64)
         dxs, dys = np.meshgrid(np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1))
         b.stats.psnr_evals += sse.size
-        b.memos[i].update(zip(zip(dxs.ravel().tolist(), dys.ravel().tolist()),
-                              sse.ravel().tolist()))
+        b.sse[i, dy_lo + b.r:dy_hi + b.r + 1, dx_lo + b.r:dx_hi + b.r + 1] = sse
         order = np.lexsort((dxs.ravel(), dys.ravel(),
                             (np.abs(dxs) + np.abs(dys)).ravel(), sse.ravel()))
         j = int(order[0])
@@ -256,12 +253,13 @@ SEARCH_STRATEGIES = {
 }
 
 
-def _search_blocks(cur16, ref16, blocks, cfg, memos, stats) -> list[BlockMatch]:
-    """Step 2 for equal-sized blocks; memos[i] receives block i's SSE memo."""
-    batch = _BlockBatch(cur16, ref16, blocks, cfg, memos, stats)
-    offsets = SEARCH_STRATEGIES[cfg.strategy](batch).tolist()
-    return [BlockMatch(blk, (dx, dy), psnr_from_sse(memo[(dx, dy)], batch.count))
-            for blk, (dx, dy), memo in zip(blocks, offsets, memos)]
+def _search_blocks(cur16, ref16, blocks, cfg, stats) -> tuple[list[BlockMatch], np.ndarray]:
+    """Step 2 for equal-sized blocks: their matches and the batch's SSE table."""
+    batch = _BlockBatch(cur16, ref16, blocks, cfg, stats)
+    offsets = SEARCH_STRATEGIES[cfg.strategy](batch)
+    best = batch.sse[np.arange(batch.n), offsets[:, 1] + batch.r, offsets[:, 0] + batch.r]
+    return [BlockMatch(blk, (dx, dy), psnr_from_sse(v, batch.count))
+            for blk, (dx, dy), v in zip(blocks, offsets.tolist(), best.tolist())], batch.sse
 
 
 def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> BlockMatch:
@@ -274,8 +272,9 @@ def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> Blo
         raise ValueError("cur and ref must have identical dimensions")
     if not Rect(0, 0, cur.width, cur.height).contains(block) or block.is_empty:
         raise ValueError(f"block {block} outside frame")
-    return _search_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
-                          [block], cfg, [{}], MatchStats())[0]
+    matches, _ = _search_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
+                                [block], cfg, MatchStats())
+    return matches[0]
 
 
 def estimate_global_motion(matches: list[BlockMatch], threshold_t: float) -> tuple[int, int]:
@@ -299,45 +298,42 @@ def _round_half_away(numer: int, denom: int) -> int:
     return -((-2 * numer + denom) // (2 * denom))
 
 
-def _verify_blocks(cur16, ref16, grid, motion, cfg, memo, stats) -> list[Rect]:
+def _verify_blocks(cur16, ref16, grid, motion, cfg, sse, stats) -> list[Rect]:
+    """Step 4 for equal-sized blocks; sse[i] is grid[i]'s SSE at motion, NaN
+    where not yet scored."""
     mx, my = motion
-    ref_h, ref_w = ref16.shape[1], ref16.shape[2]
-    inside = [block for block in grid
-              if block.x + mx >= 0 and block.y + my >= 0
-              and block.x2 + mx <= ref_w and block.y2 + my <= ref_h]
-    sse = [None] * len(inside)
-    if cfg.reuse_memo:
-        for j, block in enumerate(inside):
-            block_memo = memo.get((block.x, block.y))
-            if block_memo is not None:
-                sse[j] = block_memo.get((mx, my))
-        stats.verify_memo_hits += sum(v is not None for v in sse)
-    by_size: dict[tuple[int, int], list[int]] = {}
-    for j, v in enumerate(sse):
-        if v is None:
-            by_size.setdefault((inside[j].h, inside[j].w), []).append(j)
-    for (h, w), js in by_size.items():
-        ys = np.array([inside[j].y for j in js])
-        xs = np.array([inside[j].x for j in js])
-        for j, v in zip(js, _window_sse(cur16, ref16, h, w, ys, xs, ys + my, xs + mx)):
-            sse[j] = v
-        stats.psnr_evals += len(js)
-    channels = cur16.shape[0]
-    return [block for block, v in zip(inside, sse)
-            if psnr_from_sse(v, block.area * channels) > cfg.threshold_t]
+    h, w = grid[0].h, grid[0].w
+    xs = np.array([block.x for block in grid])
+    ys = np.array([block.y for block in grid])
+    inside = ((xs + mx >= 0) & (ys + my >= 0)
+              & (xs + mx + w <= ref16.shape[2]) & (ys + my + h <= ref16.shape[1]))
+    todo = inside & np.isnan(sse)
+    sse[todo] = _window_sse(cur16, ref16, h, w, ys[todo], xs[todo],
+                            ys[todo] + my, xs[todo] + mx)
+    stats.psnr_evals += int(todo.sum())
+    count = cur16.shape[0] * h * w
+    return [block for block, ok, v in zip(grid, inside.tolist(), sse.tolist())
+            if ok and psnr_from_sse(v, count) > cfg.threshold_t]
 
 
 def verify_blocks(cur: Frame, ref: Frame, grid: list[Rect], motion: tuple[int, int],
-                  cfg: MatcherConfig, psnr_memo: dict | None = None,
-                  stats: MatchStats | None = None) -> list[Rect]:
+                  cfg: MatcherConfig) -> list[Rect]:
     """Step 4: keep blocks whose counterpart at the uniform motion offset
     lies inside ref and scores above the threshold.
 
-    psnr_memo is the per-block memo filled during Step 2; entries for the
-    exact (motion) offset are reused instead of recomputed.
+    The grid's blocks must be non-empty, lie inside cur and share one size.
     """
-    return _verify_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
-                          grid, motion, cfg, psnr_memo or {}, stats or MatchStats())
+    if cur.data.shape != ref.data.shape:
+        raise ValueError("cur and ref must have identical dimensions")
+    if not grid:
+        return []
+    frame = Rect(0, 0, cur.width, cur.height)
+    w, h = grid[0].w, grid[0].h
+    for block in grid:
+        if block.is_empty or not frame.contains(block) or (block.w, block.h) != (w, h):
+            raise ValueError(f"block {block} is empty, outside the frame, or not {w}x{h}")
+    return _verify_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16), grid,
+                          motion, cfg, np.full(len(grid), np.nan), MatchStats())
 
 
 def merge_blocks(verified: list[Rect], motion: tuple[int, int]) -> list[RegionMapping]:
@@ -379,15 +375,16 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None) -> Ma
     cols = cur.width // cfg.block_size
 
     stats = MatchStats()
-    searched = [block for i, block in enumerate(grid)
+    searched = [i for i in range(len(grid))
                 if not ((i // cols) % cfg.skip_k or (i % cols) % cfg.skip_k)]
-    block_memos = [{} for _ in searched]
-    matches = _search_blocks(cur16, ref16, searched, cfg, block_memos, stats)
+    matches, table = _search_blocks(cur16, ref16, [grid[i] for i in searched], cfg, stats)
     stats.searches += len(searched)
-    memo = {(block.x, block.y): m for block, m in zip(searched, block_memos)}
 
     motion = estimate_global_motion(matches, cfg.threshold_t)
-    verified = _verify_blocks(cur16, ref16, grid, motion, cfg, memo, stats)
+    r = table.shape[1] // 2
+    sse = np.full(len(grid), np.nan)
+    sse[searched] = table[:, motion[1] + r, motion[0] + r]
+    verified = _verify_blocks(cur16, ref16, grid, motion, cfg, sse, stats)
     mappings = merge_blocks(verified, motion)
 
     covered = sum(m.dst.area for m in mappings)

@@ -169,7 +169,7 @@ def diamond_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_rang
     """Serial diamond search for one block; ties by (sse, |dx|+|dy|, dy, dx).
 
     Large diamond until its best point is the center, then one small
-    diamond step.  Returns (dx, dy, sse, number of distinct offsets scored).
+    diamond step.  Returns (dx, dy, sse, set of distinct (dx, dy) offsets scored).
     """
     large = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (1, -1), (-1, 1), (1, 1))
     small = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
@@ -199,7 +199,7 @@ def diamond_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_rang
             break
         cx, cy = bx, by
     dx, dy = best(cx, cy, small)
-    return dx, dy, scored[(dx, dy)], len(scored)
+    return dx, dy, scored[(dx, dy)], set(scored)
 
 
 def window_columns(rect_x, rect_w, k, stride, pad, limit=512):

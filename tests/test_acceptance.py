@@ -200,7 +200,7 @@ def test_criterion_09_matcher_throughput():
     elapsed = time.perf_counter() - t0
     mean_ms = elapsed * 1000.0 / 200
     ok = mean_ms < 20.0 and elapsed < 60.0
-    report(9, ok, f"diamond+skip+memo on 200 227x227 RGB pairs: "
+    report(9, ok, f"diamond+skip_k on 200 227x227 RGB pairs: "
                   f"{mean_ms:.2f} ms/pair (< 20), total {elapsed:.1f}s (< 60 s)")
 
 

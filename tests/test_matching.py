@@ -9,7 +9,7 @@ from framecache import (PSNR_MAX, BlockMatch, Frame, MatcherConfig, MatchStats,
 from framecache.synth import synth_sequence
 
 from framecache.matching import _search_blocks
-from reference import diamond_search_ref, exhaustive_search_ref, psnr_ref, sse_int
+from reference import diamond_search_ref, exhaustive_search_ref, psnr_ref
 
 
 def noise_frame(seed, channels=1, h=24, w=24):
@@ -146,8 +146,8 @@ class TestBlockSearch:
         for ref, cur in pairs:
             grid = partition_grid(cur.width, cur.height, 8)
             stats = MatchStats()
-            matches = _search_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
-                                     grid, cfg, [{} for _ in grid], stats)
+            matches, _ = _search_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
+                                        grid, cfg, stats)
             evals = 0
             for block, m in zip(grid, matches):
                 dx, dy, sse, scored = diamond_search_ref(
@@ -157,7 +157,7 @@ class TestBlockSearch:
                     cur.data[:, block.y:block.y2, block.x:block.x2],
                     ref.data[:, block.y + dy:block.y2 + dy, block.x + dx:block.x2 + dx]),
                     rel=1e-12)
-                evals += scored
+                evals += len(scored)
             assert stats.psnr_evals == evals
 
     def test_offsets_respect_range_and_bounds(self):
@@ -223,26 +223,24 @@ class TestVerifyBlocks:
         assert all(b.x + 5 + 10 <= 30 for b in out)
         assert not any(b.x == 20 for b in out)
 
-    def test_memo_suppresses_recomputation(self):
-        f = noise_frame(9, h=20, w=20)
-        grid = partition_grid(20, 20, 10)
-        memo = {}
-        for b in grid:
-            blk = f.data[:, b.y:b.y2, b.x:b.x2]
-            memo[(b.x, b.y)] = {(0, 0): float(sse_int(blk, blk))}
-        stats = MatchStats()
-        verify_blocks(f, f, grid, (0, 0), MatcherConfig(), memo, stats)
-        assert stats.psnr_evals == 0
-        assert stats.verify_memo_hits == len(grid)
+    def test_empty_grid(self):
+        f = noise_frame(4, h=30, w=30)
+        assert verify_blocks(f, f, [], (0, 0), MatcherConfig()) == []
 
-    def test_memo_disabled_recomputes(self):
-        f = noise_frame(9, h=20, w=20)
-        grid = partition_grid(20, 20, 10)
-        memo = {(b.x, b.y): {(0, 0): 0.0} for b in grid}
-        stats = MatchStats()
-        verify_blocks(f, f, grid, (0, 0), MatcherConfig(reuse_memo=False), memo, stats)
-        assert stats.psnr_evals == len(grid)
-        assert stats.verify_memo_hits == 0
+    @pytest.mark.parametrize("grid", [
+        [Rect(-5, 0, 10, 10)],                       # left of the frame
+        [Rect(0, -1, 10, 10)],                       # above it
+        [Rect(35, 0, 10, 10)],                       # past the right edge
+        [Rect(0, 35, 10, 10)],                       # past the bottom edge
+        [Rect(0, 0, 0, 10)],                         # empty
+        [Rect(0, 0, 10, 10), Rect(10, 0, 8, 8)],     # sizes differ
+    ])
+    def test_rejects_bad_blocks(self, grid):
+        # a constant frame would verify any block scored against wrapped or
+        # clipped pixels, so only the up-front check can refuse these
+        f = Frame(np.full((1, 40, 40), 7, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            verify_blocks(f, f, grid, (5, 0), MatcherConfig())
 
 
 class TestMergeBlocks:
@@ -349,6 +347,40 @@ class TestMatchFrames:
         with pytest.raises(ValueError):
             match_frames(noise_frame(0, h=24, w=24), noise_frame(0, h=24, w=32),
                          MatcherConfig())
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_psnr_evals_score_each_offset_once(self, k):
+        # Step 2 scores what the serial diamond search scores; Step 4 scores
+        # only the in-frame blocks whose own search missed the global motion
+        pairs = [texture_pair(3, -2, seed=5, w=64, h=48, noise=0.05),
+                 (noise_frame(3, channels=3, h=48, w=64),
+                  noise_frame(4, channels=3, h=48, w=64))]
+        cfg = MatcherConfig(skip_k=k)
+        for ref, cur in pairs:
+            res = match_frames(cur, ref, cfg)
+            mx, my = res.global_motion
+            cols = cur.width // cfg.block_size
+            expect = 0
+            for i, b in enumerate(partition_grid(cur.width, cur.height, cfg.block_size)):
+                scored = set()
+                if (i // cols) % k == 0 and (i % cols) % k == 0:
+                    *_, scored = diamond_search_ref(cur.data, ref.data, b.x, b.y,
+                                                    b.w, b.h, cfg.search_range)
+                    expect += len(scored)
+                if (Rect(0, 0, cur.width, cur.height).contains(b.translate(mx, my))
+                        and (mx, my) not in scored):
+                    expect += 1
+            assert res.stats.psnr_evals == expect
+
+    @pytest.mark.parametrize("strategy", ["diamond", "three-step", "exhaustive"])
+    def test_huge_search_range_bounded_by_frame(self, strategy):
+        # a range wider than the frame reaches no further than the frame does
+        ref, cur = texture_pair(3, -2, seed=5, w=48, h=40, noise=0.05)
+        huge = match_frames(cur, ref, MatcherConfig(block_size=8, strategy=strategy,
+                                                    search_range=10**6))
+        wide = match_frames(cur, ref, MatcherConfig(block_size=8, strategy=strategy,
+                                                    search_range=40))
+        assert huge == wide
 
     def test_verified_blocks_individually_pass_threshold(self):
         # generating condition: every constituent grid block of every mapping
