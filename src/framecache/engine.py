@@ -131,12 +131,15 @@ class ModelGraph:
 @dataclass
 class CacheStore:
     """Retained state between frames: previous input frame (the match
-    reference), per-conv-layer output maps, and the expiration counter."""
+    reference), per-conv-layer output maps, the expiration counter, and the
+    anchor: the last searched MatchResult of the current flush window, which
+    predicts the next frame's motion."""
 
     expire_n: int = 10
     prev_frame: Frame | None = None
     conv_outputs: dict[str, FeatureMap] = field(default_factory=dict)
     frames_since_flush: int = 0
+    anchor: MatchResult | None = None
 
     def __post_init__(self):
         if self.expire_n < 1:
@@ -146,13 +149,20 @@ class CacheStore:
         self.prev_frame = None
         self.conv_outputs.clear()
         self.frames_since_flush = 0
+        self.anchor = None
 
-    def commit(self, frame: Frame, conv_outputs: dict[str, FeatureMap], flushed: bool):
+    def commit(self, frame: Frame, conv_outputs: dict[str, FeatureMap], flushed: bool,
+               match: MatchResult | None = None):
         """Install a finished frame's state in one step, so a frame that
-        fails midway leaves the previous frame's state whole."""
+        fails midway leaves the previous frame's state whole.  A flush
+        clears the anchor; a searched match replaces it."""
         self.prev_frame = frame
         self.conv_outputs = conv_outputs
         self.frames_since_flush = 1 if flushed else self.frames_since_flush + 1
+        if flushed:
+            self.anchor = None
+        elif match is not None and match.stats.searches:
+            self.anchor = match
 
 
 @dataclass(frozen=True)
@@ -583,9 +593,18 @@ class Session:
     and nothing is retained).  With it True the model input must hold at
     least one matcher block, or no frame could ever be matched.
 
+    A cache-assisted frame is matched with the cache's anchor (the last
+    searched match since the flush) as prior: it is verified at the
+    anchor's motion first and searched only when its coverage falls below
+    matching.PRIOR_KEEP of the anchor's.  After a scene cut the anchor
+    covers next to nothing, so nearly any prediction clears that bar, and
+    a new static or panning scene may get no reuse until the next flush
+    clears the anchor: expire_n bounds that loss.
+
     last_match is None after a flush, and after a cache-assisted frame it
     is the MatchResult that frame's reuse came from (its match_ratio is
-    the frame's FrameMetrics.match_ratio).
+    the frame's FrameMetrics.match_ratio); a kept prediction has
+    stats.searches == 0.  It is set only when the frame finishes.
     """
 
     def __init__(self, graph: ModelGraph, matcher_cfg: MatcherConfig | None = None,
@@ -614,12 +633,9 @@ class Session:
         flush = (not self.cache_enabled
                  or self.cache.prev_frame is None
                  or self.cache.frames_since_flush >= self.cache.expire_n)
-        if flush:
-            self.last_match = None
-            in_maps = []
-        else:
-            self.last_match = match_frames(frame, self.cache.prev_frame, self.matcher_cfg)
-            in_maps = self.last_match.mappings
+        match = None if flush else match_frames(frame, self.cache.prev_frame,
+                                                self.matcher_cfg, prior=self.cache.anchor)
+        in_maps = [] if flush else match.mappings
         blobs = {ModelGraph.INPUT_BLOB: preprocess(frame, self.mean, self.scale)}
         blob_maps: dict[str, list[RegionMapping]] = {ModelGraph.INPUT_BLOB: in_maps}
         per_layer = []
@@ -649,9 +665,10 @@ class Session:
             blobs[spec.out_blob] = out
             blob_maps[spec.out_blob] = out_maps
         if self.cache_enabled:
-            self.cache.commit(frame, conv_outputs, flushed=flush)
+            self.cache.commit(frame, conv_outputs, flushed=flush, match=match)
+        self.last_match = match
         metrics = FrameMetrics(
-            match_ratio=0.0 if flush else self.last_match.match_ratio,
+            match_ratio=0.0 if flush else match.match_ratio,
             computed_macs=sum(r.computed_macs for r in per_layer),
             total_macs=sum(r.total_macs for r in per_layer),
             copied_pixels=sum(r.copied_pixels for r in per_layer),

@@ -4,7 +4,9 @@ The pipeline finds reusable regions in five steps: partition the current
 frame into a grid of equal blocks, find per-block motion with a pluggable
 block search (diamond search by default), average the motion of well-matched
 blocks into one global offset, re-verify every block at that uniform offset,
-and merge adjacent verified blocks into maximal rectangles.
+and merge adjacent verified blocks into maximal rectangles.  Steps 1, 4 and
+5 run on arrays over the block grid; Rects are built only for the merged
+mappings.
 
 Block similarity is PSNR over all channels jointly (MSE pooled across
 channels, peak value 255).  Identical blocks score the finite sentinel
@@ -14,6 +16,15 @@ Two accelerations are built in: Step 2 can search only every k-th grid row
 and column (``skip_k``), and every SSE the search computes lands in one
 table per search, indexed by block and offset, so Step 4 re-verification
 reads the ones at the global motion instead of recomputing them.
+
+Temporal motion prediction: given ``prior``, an earlier searched
+MatchResult, match_frames first runs Steps 1, 4 and 5 alone at the prior's
+global motion, and keeps that result (with no searches) when it covers at
+least PRIOR_KEEP of what the prior covered.  Otherwise it runs the full
+pipeline, seeded with the SSEs the verification already scored, so the
+result is the one a call without ``prior`` returns.  This is the
+motion-vector prediction of H.264/AVC and HEVC, applied to the one global
+motion.
 """
 
 from __future__ import annotations
@@ -26,6 +37,9 @@ import numpy as np
 from .core import Frame, Rect, RegionMapping
 
 PSNR_MAX = 100.0
+
+# Share of the prior's match_ratio a prediction must reach to be kept.
+PRIOR_KEEP = 0.9
 
 # Large/small diamond search patterns; offsets relative to the pattern center.
 _LDSP = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (1, -1), (-1, 1), (1, 1))
@@ -77,8 +91,8 @@ class BlockMatch:
 class MatchStats:
     """Work counters, mostly for tests and the matcher benchmark."""
 
-    searches: int = 0        # Step-2 block_search invocations
-    psnr_evals: int = 0      # block-pair PSNR (SSE) computations, all steps
+    searches: int = 0        # Step-2 block_search invocations (0 for a kept prediction)
+    psnr_evals: int = 0      # distinct (block, offset) SSEs scored, all steps
 
 
 @dataclass(frozen=True)
@@ -90,16 +104,21 @@ class MatchResult:
     stats: MatchStats = field(default_factory=MatchStats)
 
 
+def _grid_shape(frame_w: int, frame_h: int, block_size: int) -> tuple[int, int]:
+    """Step 1: (rows, cols) of the block grid; margins smaller than a block
+    are left out."""
+    if frame_w < block_size or frame_h < block_size:
+        raise ValueError(f"frame too small: {frame_w}x{frame_h} for block size {block_size}")
+    return frame_h // block_size, frame_w // block_size
+
+
 def partition_grid(frame_w: int, frame_h: int, block_size: int) -> list[Rect]:
     """Row-major list of block_size x block_size tiles covering the frame.
 
     Right/bottom margins smaller than a full block are excluded; those
     pixels are never reusable.
     """
-    if frame_w < block_size or frame_h < block_size:
-        raise ValueError(f"frame too small: {frame_w}x{frame_h} for block size {block_size}")
-    cols = frame_w // block_size
-    rows = frame_h // block_size
+    rows, cols = _grid_shape(frame_w, frame_h, block_size)
     return [Rect(c * block_size, r * block_size, block_size, block_size)
             for r in range(rows) for c in range(cols)]
 
@@ -139,7 +158,8 @@ def _window_sse(cur16, ref16, h: int, w: int, cy, cx, ry, rx) -> np.ndarray:
 
 
 class _BlockBatch:
-    """Candidate evaluation for equal-sized blocks searched in lockstep.
+    """Candidate evaluation for h x w blocks at (by[i], bx[i]), searched in
+    lockstep.
 
     Every SSE scored for block i at offset (dx, dy) is kept in
     ``sse[i, dy + r, dx + r]``, NaN until scored.  The radius r is the
@@ -148,32 +168,31 @@ class _BlockBatch:
     trajectory; a search step scores the pattern around every block's
     center with one gather over the frames.  SSE values are exact, so they
     are identical no matter which code path or summation order produced
-    them.
+    them, and an entry written before the search (a seed) is one the
+    search need not score.
     """
 
-    def __init__(self, cur16, ref16, blocks: list[Rect], cfg: MatcherConfig,
-                 stats: MatchStats):
-        self.h, self.w = blocks[0].h, blocks[0].w
+    def __init__(self, cur16, ref16, bx: np.ndarray, by: np.ndarray, h: int, w: int,
+                 cfg: MatcherConfig, stats: MatchStats):
+        self.h, self.w = h, w
         self.cur = cur16
         self.ref = ref16
-        self.blocks = blocks
+        self.bx, self.by = bx, by
         self.cfg = cfg
         self.stats = stats
-        self.count = cur16.shape[0] * self.h * self.w
-        self.bx = np.array([blk.x for blk in blocks])
-        self.by = np.array([blk.y for blk in blocks])
+        self.count = cur16.shape[0] * h * w
         ref_h, ref_w = ref16.shape[1], ref16.shape[2]
         sr = cfg.search_range
-        self.dx_lo = np.maximum(-sr, -self.bx)
-        self.dx_hi = np.minimum(sr, ref_w - self.w - self.bx)
-        self.dy_lo = np.maximum(-sr, -self.by)
-        self.dy_hi = np.minimum(sr, ref_h - self.h - self.by)
-        self.r = r = min(sr, max(ref_h - self.h, ref_w - self.w))
-        self.sse = np.full((len(blocks), 2 * r + 1, 2 * r + 1), np.nan)
+        self.dx_lo = np.maximum(-sr, -bx)
+        self.dx_hi = np.minimum(sr, ref_w - w - bx)
+        self.dy_lo = np.maximum(-sr, -by)
+        self.dy_hi = np.minimum(sr, ref_h - h - by)
+        self.r = r = min(sr, max(ref_h - h, ref_w - w))
+        self.sse = np.full((len(bx), 2 * r + 1, 2 * r + 1), np.nan)
 
     @property
     def n(self) -> int:
-        return len(self.blocks)
+        return len(self.bx)
 
     def best(self, idx: np.ndarray, centers: np.ndarray, pattern) -> np.ndarray:
         """Per block idx[i], the lowest-SSE in-range offset of centers[i] + pattern.
@@ -199,6 +218,13 @@ class _BlockBatch:
         sse[rows, cols] = vals
         order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), sse))
         return cand[np.arange(len(idx)), order[:, 0]]
+
+    def search(self) -> tuple[np.ndarray, np.ndarray]:
+        """Step 2: every block's best offset [n, 2] under cfg.strategy, and
+        the SSE there."""
+        offsets = SEARCH_STRATEGIES[self.cfg.strategy](self)
+        return offsets, self.sse[np.arange(self.n), offsets[:, 1] + self.r,
+                                 offsets[:, 0] + self.r]
 
 
 def _diamond_search(b: _BlockBatch) -> np.ndarray:
@@ -229,16 +255,17 @@ def _three_step_search(b: _BlockBatch) -> np.ndarray:
 
 def _exhaustive_search(b: _BlockBatch) -> np.ndarray:
     out = np.zeros((b.n, 2), dtype=np.int64)
-    for i, blk in enumerate(b.blocks):
+    h, w = b.h, b.w
+    for i, (x, y) in enumerate(zip(b.bx.tolist(), b.by.tolist())):
         dx_lo, dx_hi = int(b.dx_lo[i]), int(b.dx_hi[i])
         dy_lo, dy_hi = int(b.dy_lo[i]), int(b.dy_hi[i])
-        region = b.ref[:, blk.y + dy_lo:blk.y + dy_hi + blk.h,
-                       blk.x + dx_lo:blk.x + dx_hi + blk.w]
-        d = _windows(region, blk.h, blk.w) - b.cur[:, blk.y:blk.y2, blk.x:blk.x2]
+        region = b.ref[:, y + dy_lo:y + dy_hi + h, x + dx_lo:x + dx_hi + w]
+        d = _windows(region, h, w) - b.cur[:, y:y + h, x:x + w]
         sse = np.einsum("ijchw,ijchw->ij", d, d, dtype=np.int64).astype(np.float64)
         dxs, dys = np.meshgrid(np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1))
-        b.stats.psnr_evals += sse.size
-        b.sse[i, dy_lo + b.r:dy_hi + b.r + 1, dx_lo + b.r:dx_hi + b.r + 1] = sse
+        table = b.sse[i, dy_lo + b.r:dy_hi + b.r + 1, dx_lo + b.r:dx_hi + b.r + 1]
+        b.stats.psnr_evals += int(np.isnan(table).sum())
+        table[...] = sse
         order = np.lexsort((dxs.ravel(), dys.ravel(),
                             (np.abs(dxs) + np.abs(dys)).ravel(), sse.ravel()))
         j = int(order[0])
@@ -254,10 +281,11 @@ SEARCH_STRATEGIES = {
 
 
 def _search_blocks(cur16, ref16, blocks, cfg, stats) -> tuple[list[BlockMatch], np.ndarray]:
-    """Step 2 for equal-sized blocks: their matches and the batch's SSE table."""
-    batch = _BlockBatch(cur16, ref16, blocks, cfg, stats)
-    offsets = SEARCH_STRATEGIES[cfg.strategy](batch)
-    best = batch.sse[np.arange(batch.n), offsets[:, 1] + batch.r, offsets[:, 0] + batch.r]
+    """Step 2 for a list of equal-sized blocks: their matches and the SSE table."""
+    batch = _BlockBatch(cur16, ref16, np.array([blk.x for blk in blocks]),
+                        np.array([blk.y for blk in blocks]), blocks[0].h, blocks[0].w,
+                        cfg, stats)
+    offsets, best = batch.search()
     return [BlockMatch(blk, (dx, dy), psnr_from_sse(v, batch.count))
             for blk, (dx, dy), v in zip(blocks, offsets.tolist(), best.tolist())], batch.sse
 
@@ -277,19 +305,23 @@ def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> Blo
     return matches[0]
 
 
+def _mean_motion(offsets: list[tuple[int, int]]) -> tuple[int, int]:
+    """Step 3: mean of the selected offsets, rounded half away from zero
+    per axis; (0, 0) when none is selected."""
+    if not offsets:
+        return (0, 0)
+    k = len(offsets)
+    return (_round_half_away(sum(o[0] for o in offsets), k),
+            _round_half_away(sum(o[1] for o in offsets), k))
+
+
 def estimate_global_motion(matches: list[BlockMatch], threshold_t: float) -> tuple[int, int]:
     """Mean offset of matches scoring above the threshold, rounded to integers.
 
     Rounding is half-away-from-zero per axis.  With no match above the
     threshold the motion falls back to (0, 0).
     """
-    selected = [m for m in matches if m.psnr > threshold_t]
-    if not selected:
-        return (0, 0)
-    sx = sum(m.offset[0] for m in selected)
-    sy = sum(m.offset[1] for m in selected)
-    k = len(selected)
-    return (_round_half_away(sx, k), _round_half_away(sy, k))
+    return _mean_motion([m.offset for m in matches if m.psnr > threshold_t])
 
 
 def _round_half_away(numer: int, denom: int) -> int:
@@ -298,22 +330,22 @@ def _round_half_away(numer: int, denom: int) -> int:
     return -((-2 * numer + denom) // (2 * denom))
 
 
-def _verify_blocks(cur16, ref16, grid, motion, cfg, sse, stats) -> list[Rect]:
-    """Step 4 for equal-sized blocks; sse[i] is grid[i]'s SSE at motion, NaN
-    where not yet scored."""
+def _verify(cur16, ref16, bx, by, h: int, w: int, motion, cfg, sse, stats) -> np.ndarray:
+    """Step 4 for the h x w blocks at (by[i], bx[i]): the mask of those whose
+    counterpart at the uniform motion lies inside ref and scores above the
+    threshold.  sse[i] is block i's SSE at motion, NaN where not yet scored;
+    the rest are scored in one gather and written back."""
     mx, my = motion
-    h, w = grid[0].h, grid[0].w
-    xs = np.array([block.x for block in grid])
-    ys = np.array([block.y for block in grid])
-    inside = ((xs + mx >= 0) & (ys + my >= 0)
-              & (xs + mx + w <= ref16.shape[2]) & (ys + my + h <= ref16.shape[1]))
-    todo = inside & np.isnan(sse)
-    sse[todo] = _window_sse(cur16, ref16, h, w, ys[todo], xs[todo],
-                            ys[todo] + my, xs[todo] + mx)
-    stats.psnr_evals += int(todo.sum())
+    inside = ((bx + mx >= 0) & (by + my >= 0)
+              & (bx + mx + w <= ref16.shape[2]) & (by + my + h <= ref16.shape[1]))
+    todo = np.flatnonzero(inside & np.isnan(sse))
+    sse[todo] = _window_sse(cur16, ref16, h, w, by[todo], bx[todo],
+                            by[todo] + my, bx[todo] + mx)
+    stats.psnr_evals += todo.size
     count = cur16.shape[0] * h * w
-    return [block for block, ok, v in zip(grid, inside.tolist(), sse.tolist())
-            if ok and psnr_from_sse(v, count) > cfg.threshold_t]
+    ok = inside.copy()
+    ok[inside] = [psnr_from_sse(v, count) > cfg.threshold_t for v in sse[inside].tolist()]
+    return ok
 
 
 def verify_blocks(cur: Frame, ref: Frame, grid: list[Rect], motion: tuple[int, int],
@@ -332,8 +364,38 @@ def verify_blocks(cur: Frame, ref: Frame, grid: list[Rect], motion: tuple[int, i
     for block in grid:
         if block.is_empty or not frame.contains(block) or (block.w, block.h) != (w, h):
             raise ValueError(f"block {block} is empty, outside the frame, or not {w}x{h}")
-    return _verify_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16), grid,
-                          motion, cfg, np.full(len(grid), np.nan), MatchStats())
+    ok = _verify(cur.data.astype(np.int16), ref.data.astype(np.int16),
+                 np.array([b.x for b in grid]), np.array([b.y for b in grid]), h, w,
+                 motion, cfg, np.full(len(grid), np.nan), MatchStats())
+    return [block for block, keep in zip(grid, ok.tolist()) if keep]
+
+
+def _merge(verified: np.ndarray, w: int, h: int, motion) -> list[RegionMapping]:
+    """Step 5 on a boolean [rows, cols] grid of w x h blocks.
+
+    The strips are the maximal runs of verified blocks in each row.  Taken
+    in (first col, last col, row) order, a strip extends the rectangle of
+    the one before it when both span the same columns in adjacent rows.
+    Rectangles are returned in (y, x) order.
+    """
+    edges = np.diff(np.pad(verified, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    row, c0 = np.nonzero(edges == 1)
+    _, c1 = np.nonzero(edges == -1)
+    order = np.lexsort((row, c1, c0))
+    row, c0, c1 = row[order], c0[order], c1[order]
+    starts = np.ones(len(row), dtype=bool)
+    starts[1:] = (c0[1:] != c0[:-1]) | (c1[1:] != c1[:-1]) | (row[1:] != row[:-1] + 1)
+    first = np.flatnonzero(starts)
+    heights = np.diff(np.append(first, len(row)))
+    top, c0, c1 = row[first], c0[first], c1[first]
+    order = np.lexsort((c0, top))
+    mx, my = motion
+    mappings = []
+    for y, x0, x1, n in zip(top[order].tolist(), c0[order].tolist(), c1[order].tolist(),
+                            heights[order].tolist()):
+        dst = Rect(x0 * w, y * h, (x1 - x0) * w, n * h)
+        mappings.append(RegionMapping(dst=dst, src=dst.translate(mx, my)))
+    return mappings
 
 
 def merge_blocks(verified: list[Rect], motion: tuple[int, int]) -> list[RegionMapping]:
@@ -341,57 +403,77 @@ def merge_blocks(verified: list[Rect], motion: tuple[int, int]) -> list[RegionMa
 
     First concatenate horizontally adjacent blocks within each grid row into
     strips, then stack vertically adjacent strips of identical x-extent.
+    The blocks must be distinct, share one non-empty size w x h and sit on
+    that size's grid (x a multiple of w, y of h), as partition_grid's do.
     """
-    mx, my = motion
-    strips: list[Rect] = []
-    for block in sorted(verified, key=lambda r: (r.y, r.x)):
-        last = strips[-1] if strips else None
-        if last is not None and last.y == block.y and last.x2 == block.x and last.h == block.h:
-            strips[-1] = Rect(last.x, last.y, last.w + block.w, last.h)
-        else:
-            strips.append(block)
-
-    merged: list[Rect] = []
-    for strip in sorted(strips, key=lambda r: (r.x, r.w, r.y)):
-        last = merged[-1] if merged else None
-        if last is not None and last.x == strip.x and last.w == strip.w and last.y2 == strip.y:
-            merged[-1] = Rect(last.x, last.y, last.w, last.h + strip.h)
-        else:
-            merged.append(strip)
-
-    merged.sort(key=lambda r: (r.y, r.x))
-    return [RegionMapping(dst=r, src=r.translate(mx, my)) for r in merged]
+    if not verified:
+        return []
+    w, h = verified[0].w, verified[0].h
+    if verified[0].is_empty or any(b.w != w or b.h != h or b.x < 0 or b.y < 0
+                                   or b.x % w or b.y % h for b in verified):
+        raise ValueError(f"blocks are not distinct cells of one {w}x{h} grid")
+    cols = np.array([b.x // w for b in verified])
+    rows = np.array([b.y // h for b in verified])
+    grid = np.zeros((rows.max() + 1, cols.max() + 1), dtype=bool)
+    grid[rows, cols] = True
+    if int(grid.sum()) != len(verified):
+        raise ValueError(f"blocks are not distinct cells of one {w}x{h} grid")
+    return _merge(grid, w, h, motion)
 
 
-def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None) -> MatchResult:
-    """Run the full five-step matching pipeline on a frame pair."""
+def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
+                 prior: MatchResult | None = None) -> MatchResult:
+    """Run the five-step matching pipeline on a frame pair.
+
+    With a prior (an earlier searched MatchResult), first verify and merge
+    at prior.global_motion alone; keep that result, with stats.searches
+    == 0, if its match_ratio is at least PRIOR_KEEP * prior.match_ratio.
+    Otherwise run the full pipeline, whose result then equals that of a
+    call without prior; only its psnr_evals differ, since SSEs the
+    verification scored are not scored again.
+    """
     cfg = cfg or MatcherConfig()
     if cur.data.shape != ref.data.shape:
         raise ValueError(f"frame dimensions differ: {cur.data.shape} vs {ref.data.shape}")
     cur16 = cur.data.astype(np.int16)
     ref16 = ref.data.astype(np.int16)
 
-    grid = partition_grid(cur.width, cur.height, cfg.block_size)
-    cols = cur.width // cfg.block_size
-
+    bs, k = cfg.block_size, cfg.skip_k
+    rows, cols = _grid_shape(cur.width, cur.height, bs)
+    row, col = np.indices((rows, cols)).reshape(2, -1)
+    by, bx = row * bs, col * bs
     stats = MatchStats()
-    searched = [i for i in range(len(grid))
-                if not ((i // cols) % cfg.skip_k or (i % cols) % cfg.skip_k)]
-    matches, table = _search_blocks(cur16, ref16, [grid[i] for i in searched], cfg, stats)
-    stats.searches += len(searched)
 
-    motion = estimate_global_motion(matches, cfg.threshold_t)
-    r = table.shape[1] // 2
-    sse = np.full(len(grid), np.nan)
-    sse[searched] = table[:, motion[1] + r, motion[0] + r]
-    verified = _verify_blocks(cur16, ref16, grid, motion, cfg, sse, stats)
-    mappings = merge_blocks(verified, motion)
+    def finish(motion, sse) -> MatchResult:
+        verified = _verify(cur16, ref16, bx, by, bs, bs, motion, cfg, sse, stats)
+        matched = int(verified.sum())
+        return MatchResult(
+            mappings=_merge(verified.reshape(rows, cols), bs, bs, motion),
+            global_motion=motion,
+            match_ratio=matched * bs * bs / (cur.width * cur.height),
+            matched_block_count=matched,
+            stats=stats,
+        )
 
-    covered = sum(m.dst.area for m in mappings)
-    return MatchResult(
-        mappings=mappings,
-        global_motion=motion,
-        match_ratio=covered / (cur.width * cur.height),
-        matched_block_count=len(verified),
-        stats=stats,
-    )
+    sse = np.full(rows * cols, np.nan)
+    if prior is not None:
+        predicted = finish(prior.global_motion, sse)
+        if predicted.match_ratio >= PRIOR_KEEP * prior.match_ratio:
+            return predicted
+
+    searched = np.flatnonzero((row % k == 0) & (col % k == 0))
+    batch = _BlockBatch(cur16, ref16, bx[searched], by[searched], bs, bs, cfg, stats)
+    r = batch.r
+    if prior is not None:
+        px, py = prior.global_motion
+        if max(abs(px), abs(py)) <= r:
+            batch.sse[:, py + r, px + r] = sse[searched]
+    offsets, best = batch.search()
+    stats.searches += batch.n
+
+    motion = _mean_motion([o for o, v in zip(offsets.tolist(), best.tolist())
+                           if psnr_from_sse(v, batch.count) > cfg.threshold_t])
+    if prior is None or motion != prior.global_motion:
+        sse = np.full(rows * cols, np.nan)
+    sse[searched] = batch.sse[:, motion[1] + r, motion[0] + r]
+    return finish(motion, sse)

@@ -211,3 +211,71 @@ def window_columns(rect_x, rect_w, k, stride, pad, limit=512):
         if start >= rect_x and start + k <= rect_x + rect_w:
             cols.append(ox)
     return cols
+
+
+def three_step_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_range):
+    """Serial three-step search for one block; ties by (sse, |dx|+|dy|, dy, dx).
+
+    Steps of 2**(rounds-1) down to 1 around the best point so far, where
+    rounds = max(1, bit length of search_range - 1); a range of 0 scores
+    only (0, 0).  Returns (dx, dy, sse, set of distinct (dx, dy) offsets
+    scored).
+    """
+    dirs = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+    _, h, w = ref.shape
+    cblk = cur[:, block_y:block_y + block_h, block_x:block_x + block_w]
+    scored = {}
+
+    def best(cx, cy, pattern):
+        best_key = None
+        for ox, oy in pattern:
+            dx, dy = cx + ox, cy + oy
+            x, y = block_x + dx, block_y + dy
+            if (abs(dx) > search_range or abs(dy) > search_range
+                    or x < 0 or y < 0 or x + block_w > w or y + block_h > h):
+                continue
+            if (dx, dy) not in scored:
+                scored[(dx, dy)] = sse_int(cblk, ref[:, y:y + block_h, x:x + block_w])
+            key = (scored[(dx, dy)], abs(dx) + abs(dy), dy, dx)
+            if best_key is None or key < best_key:
+                best_key = key
+        return best_key[3], best_key[2]
+
+    cx = cy = 0
+    if search_range == 0:
+        cx, cy = best(0, 0, ((0, 0),))
+    else:
+        step = 1 << (max(1, (search_range - 1).bit_length()) - 1)
+        while step >= 1:
+            cx, cy = best(cx, cy, ((0, 0),) + tuple((ox * step, oy * step) for ox, oy in dirs))
+            step //= 2
+    return cx, cy, scored[(cx, cy)], set(scored)
+
+
+def merge_blocks_ref(verified, motion):
+    """Greedy two-pass merge of (x, y, w, h) blocks over Python lists.
+
+    Sort by (y, x) and join each block onto the strip before it when they
+    share a row and touch; sort the strips by (x, w, y) and stack each onto
+    the rectangle before it when they span the same columns and touch;
+    return (dst, src) pairs of (x, y, w, h) tuples in (y, x) order of dst.
+    """
+    strips = []
+    for x, y, w, h in sorted(verified, key=lambda r: (r[1], r[0])):
+        if strips:
+            lx, ly, lw, lh = strips[-1]
+            if ly == y and lx + lw == x and lh == h:
+                strips[-1] = (lx, ly, lw + w, lh)
+                continue
+        strips.append((x, y, w, h))
+    merged = []
+    for x, y, w, h in sorted(strips, key=lambda r: (r[0], r[2], r[1])):
+        if merged:
+            lx, ly, lw, lh = merged[-1]
+            if lx == x and lw == w and ly + lh == y:
+                merged[-1] = (lx, ly, lw, lh + h)
+                continue
+        merged.append((x, y, w, h))
+    merged.sort(key=lambda r: (r[1], r[0]))
+    mx, my = motion
+    return [((x, y, w, h), (x + mx, y + my, w, h)) for x, y, w, h in merged]

@@ -722,6 +722,73 @@ class TestSession:
         assert np.array_equal(bits(out.data), bits(want.data))
         assert sess.cache.frames_since_flush == clean.cache.frames_since_flush == 2
 
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_failed_predicted_frame_leaves_cache_whole(self, monkeypatch, cut):
+        # Frame 2, the first matched with a prior, fails in c2: either its
+        # prediction is kept or (after a cut) it searches.  Frame 3 must then
+        # run exactly as in a session that never saw frame 2, anchor included.
+        frames = synth_sequence(4, 32, 32, dx=2, dy=1, noise=0.005, seed=23)
+        if cut:
+            frames[2] = synth_sequence(1, 32, 32, seed=99)[0]
+        sess = make_session()
+        for f in frames[:2]:
+            sess.run_frame(f)
+        real = engine.conv_forward_cached
+        matched = []
+
+        def fail_in_c2(input, spec, *args):
+            if spec.name == "c2":
+                raise RuntimeError("injected")
+            return real(input, spec, *args)
+
+        def spy(*args, **kwargs):
+            matched.append(real_match(*args, **kwargs))
+            return matched[-1]
+
+        real_match = engine.match_frames
+        monkeypatch.setattr(engine, "conv_forward_cached", fail_in_c2)
+        monkeypatch.setattr(engine, "match_frames", spy)
+        with pytest.raises(RuntimeError, match="injected"):
+            sess.run_frame(frames[2])
+        monkeypatch.undo()
+        assert (matched[0].stats.searches > 0) == cut
+        out, metrics = sess.run_frame(frames[3])
+
+        clean = make_session()
+        for f in (frames[0], frames[1]):
+            clean.run_frame(f)
+        want, want_metrics = clean.run_frame(frames[3])
+        assert metrics.copied_pixels == want_metrics.copied_pixels > 0
+        assert np.array_equal(bits(out.data), bits(want.data))
+        assert sess.last_match == clean.last_match
+        assert sess.cache.anchor == clean.cache.anchor
+        assert sess.cache.frames_since_flush == clean.cache.frames_since_flush == 3
+
+    def test_reuse_resumes_after_the_flush_that_follows_a_cut(self):
+        # A cut leaves an anchor that covers nothing, so the new scene's
+        # frames keep unsearched predictions, here reusing nothing, until the
+        # next flush; the first cache-assisted frame after it searches and
+        # reuses as a session that never saw the cut does.
+        cfg = MatcherConfig(block_size=10, threshold_t=25.0, skip_k=1, search_range=8)
+        first = synth_sequence(1, 32, 32, seed=41)[0]
+        pan = synth_sequence(5, 32, 32, dx=2, dy=1, noise=0.005, seed=43)
+        sess = make_session(expire_n=4, matcher_cfg=cfg)
+        runs = []
+        for f in [first] + pan:
+            _, metrics = sess.run_frame(f)
+            runs.append((metrics, sess.last_match))
+        assert [m.flushed for m, _ in runs] == [True, False, False, False, True, False]
+        assert runs[1][1].stats.searches > 0 and runs[1][1].match_ratio == 0.0
+        for metrics, match in runs[2:4]:
+            assert match.stats.searches == 0 and metrics.copied_pixels == 0
+
+        fresh = make_session(matcher_cfg=cfg)
+        fresh.run_frame(pan[3])
+        _, want = fresh.run_frame(pan[4])
+        metrics, match = runs[5]
+        assert match.stats.searches > 0 and match == fresh.last_match
+        assert metrics.copied_pixels == want.copied_pixels > 0
+
     def test_input_smaller_than_block_rejected(self):
         text = "input 1 8 8\nc1 conv k=3 out_ch=2 p=1 in=data out=b1\n"
         with pytest.raises(ValueError, match="block"):

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from framecache import (PSNR_MAX, BlockMatch, Frame, MatcherConfig, MatchStats,
-                        Rect, block_search, estimate_global_motion, match_frames,
-                        merge_blocks, partition_grid, psnr, verify_blocks)
+from framecache import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, Frame, MatcherConfig,
+                        MatchResult, MatchStats, Rect, block_search,
+                        estimate_global_motion, match_frames, merge_blocks,
+                        partition_grid, psnr, verify_blocks)
 from framecache.synth import synth_sequence
 
-from framecache.matching import _search_blocks
-from reference import diamond_search_ref, exhaustive_search_ref, psnr_ref
+from framecache.matching import PRIOR_KEEP, _search_blocks
+from reference import (diamond_search_ref, exhaustive_search_ref, merge_blocks_ref,
+                       psnr_ref, three_step_search_ref)
 
 
 def noise_frame(seed, channels=1, h=24, w=24):
@@ -275,6 +280,31 @@ class TestMergeBlocks:
                     inter_h = min(a.dst.y2, b.dst.y2) - max(a.dst.y, b.dst.y)
                     assert inter_w <= 0 or inter_h <= 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid=arrays(bool, st.tuples(st.integers(1, 9), st.integers(1, 9))),
+           size=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           motion=st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+    def test_grid_merge_equals_list_merge(self, grid, size, motion):
+        # the grid merge returns the Rect-list merge's mappings, in its order
+        w, h = size
+        rows, cols = np.nonzero(grid)
+        blocks = [Rect(int(c) * w, int(r) * h, w, h) for r, c in zip(rows, cols)]
+        blocks.reverse()   # input order must not matter
+        got = [((m.dst.x, m.dst.y, m.dst.w, m.dst.h), (m.src.x, m.src.y, m.src.w, m.src.h))
+               for m in merge_blocks(blocks, motion)]
+        assert got == merge_blocks_ref([(b.x, b.y, b.w, b.h) for b in blocks], motion)
+
+    @pytest.mark.parametrize("blocks", [
+        [Rect(0, 0, 10, 10), Rect(10, 0, 8, 10)],    # sizes differ
+        [Rect(5, 0, 10, 10)],                        # off the grid
+        [Rect(-10, 0, 10, 10)],                      # left of the origin
+        [Rect(0, 0, 10, 10), Rect(0, 0, 10, 10)],    # duplicate
+        [Rect(0, 0, 0, 10)],                         # empty
+    ])
+    def test_rejects_blocks_off_one_grid(self, blocks):
+        with pytest.raises(ValueError):
+            merge_blocks(blocks, (0, 0))
+
 
 class TestMatchFrames:
     def test_identical_frames(self):
@@ -395,6 +425,104 @@ class TestMatchFrames:
                     blk_c = cur.data[:, by:by + 10, bx:bx + 10]
                     blk_r = ref.data[:, by + my:by + my + 10, bx + mx:bx + mx + 10]
                     assert psnr_ref(blk_c, blk_r) > cfg.threshold_t
+
+
+def scene_pair(kind, seed, w=48, h=40):
+    """(ref, cur) for a noisy pan, a clean pan, a scene cut or plain noise."""
+    if kind == "pan":
+        return texture_pair(3, -2, seed=seed, w=w, h=h, noise=0.03)
+    if kind == "clean":
+        return texture_pair(-2, 1, seed=seed, w=w, h=h)
+    if kind == "cut":
+        return (synth_sequence(1, w, h, channels=3, seed=seed)[0],
+                synth_sequence(1, w, h, channels=3, seed=seed + 1000)[0])
+    return noise_frame(seed, channels=3, h=h, w=w), noise_frame(seed + 1, channels=3, h=h, w=w)
+
+
+def scored_by_search(cur, ref, cfg, blocks) -> set:
+    """Every (x, y, dx, dy) the serial reference searches score for blocks."""
+    scored = set()
+    for b in blocks:
+        if cfg.strategy == "exhaustive":
+            offsets = {(dx, dy) for dy in range(-cfg.search_range, cfg.search_range + 1)
+                       for dx in range(-cfg.search_range, cfg.search_range + 1)
+                       if 0 <= b.x + dx <= cur.width - b.w and 0 <= b.y + dy <= cur.height - b.h}
+        else:
+            ref_search = (diamond_search_ref if cfg.strategy == "diamond"
+                          else three_step_search_ref)
+            *_, offsets = ref_search(cur.data, ref.data, b.x, b.y, b.w, b.h, cfg.search_range)
+        scored |= {(b.x, b.y, dx, dy) for dx, dy in offsets}
+    return scored
+
+
+class TestPrior:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(("pan", "clean", "cut", "noise")),
+           strategy=st.sampled_from(sorted(SEARCH_STRATEGIES)),
+           k=st.integers(1, 3), search_range=st.sampled_from((0, 3, 8)),
+           seed=st.integers(0, 30),
+           motion=st.none() | st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+           ratio=st.floats(0.0, 1.0))
+    def test_kept_prediction_or_the_plain_match(self, kind, strategy, k, search_range,
+                                                seed, motion, ratio):
+        # A prior either yields the verify-and-merge result at its motion,
+        # unsearched and covering at least PRIOR_KEEP of the prior, or the
+        # result of a call without prior, with every SSE scored once.
+        ref, cur = scene_pair(kind, seed)
+        cfg = MatcherConfig(block_size=8, skip_k=k, search_range=search_range,
+                            strategy=strategy)
+        plain = match_frames(cur, ref, cfg)
+        p = plain.global_motion if motion is None else motion
+        res = match_frames(cur, ref, cfg, prior=MatchResult([], p, ratio, 0))
+
+        grid = partition_grid(cur.width, cur.height, 8)
+        frame = Rect(0, 0, cur.width, cur.height)
+        verified = verify_blocks(cur, ref, grid, p, cfg)
+        predicted_ratio = len(verified) * 64 / frame.area
+
+        def at(mx, my):
+            return {(b.x, b.y, mx, my) for b in grid if frame.contains(b.translate(mx, my))}
+
+        if res.stats.searches == 0:
+            assert res.match_ratio == predicted_ratio >= PRIOR_KEEP * ratio
+            assert res.global_motion == p
+            assert res.mappings == merge_blocks(verified, p)
+            assert res.matched_block_count == len(verified)
+            assert res.stats.psnr_evals == len(at(*p))
+        else:
+            assert predicted_ratio < PRIOR_KEEP * ratio
+            assert ((res.mappings, res.global_motion, res.match_ratio,
+                     res.matched_block_count, res.stats.searches)
+                    == (plain.mappings, plain.global_motion, plain.match_ratio,
+                        plain.matched_block_count, plain.stats.searches))
+            cols = cur.width // 8
+            searched = [b for i, b in enumerate(grid)
+                        if (i // cols) % k == 0 and (i % cols) % k == 0]
+            scored = (scored_by_search(cur, ref, cfg, searched) | at(*p)
+                      | at(*plain.global_motion))
+            assert res.stats.psnr_evals == len(scored)
+
+    def test_pan_prediction_is_kept_and_equals_the_search(self):
+        ref, cur = texture_pair(2, 1, seed=4, w=100, h=80, noise=0.02)
+        plain = match_frames(cur, ref)
+        res = match_frames(cur, ref, prior=plain)
+        assert res.stats.searches == 0 and res.stats.psnr_evals < plain.stats.psnr_evals
+        assert (res.mappings, res.global_motion, res.match_ratio) == \
+            (plain.mappings, plain.global_motion, plain.match_ratio)
+
+    def test_prior_that_covered_nothing_keeps_any_prediction(self):
+        # the bar is inclusive: after a cut, even an empty prediction is kept
+        cur = noise_frame(1, channels=3, h=60, w=60)
+        ref = noise_frame(2, channels=3, h=60, w=60)
+        res = match_frames(cur, ref, prior=MatchResult([], (0, 0), 0.0, 0))
+        assert res.stats.searches == 0 and res.match_ratio == 0.0
+
+    def test_dropped_coverage_runs_the_search(self):
+        ref, cur = texture_pair(2, 1, seed=4, w=100, h=80, noise=0.02)
+        stale = MatchResult([], (-5, 3), 0.8, 0)
+        res = match_frames(cur, ref, prior=stale)
+        assert res.stats.searches > 0
+        assert res.mappings == match_frames(cur, ref).mappings
 
 
 class TestMatcherConfig:
