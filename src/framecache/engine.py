@@ -152,16 +152,17 @@ class CacheStore:
         self.anchor = None
 
     def commit(self, frame: Frame, conv_outputs: dict[str, FeatureMap], flushed: bool,
-               match: MatchResult | None = None):
+               match: MatchResult | None):
         """Install a finished frame's state in one step, so a frame that
-        fails midway leaves the previous frame's state whole.  A flush
-        clears the anchor; a searched match replaces it."""
+        fails midway leaves the previous frame's state whole.  match is
+        the frame's MatchResult, None on a flush.  A flush clears the
+        anchor; a searched match replaces it."""
         self.prev_frame = frame
         self.conv_outputs = conv_outputs
         self.frames_since_flush = 1 if flushed else self.frames_since_flush + 1
         if flushed:
             self.anchor = None
-        elif match is not None and match.stats.searches:
+        elif match.stats.searches:
             self.anchor = match
 
 
@@ -596,10 +597,10 @@ class Session:
     A cache-assisted frame is matched with the cache's anchor (the last
     searched match since the flush) as prior: it is verified at the
     anchor's motion first and searched only when its coverage falls below
-    matching.PRIOR_KEEP of the anchor's.  After a scene cut the anchor
-    covers next to nothing, so nearly any prediction clears that bar, and
-    a new static or panning scene may get no reuse until the next flush
-    clears the anchor: expire_n bounds that loss.
+    matching.PRIOR_KEEP of the anchor's.  An anchor that covered less than
+    matching.PRIOR_MIN, as a scene cut leaves, predicts nothing: the next
+    frame searches, so a shot that continues after a cut is reused from its
+    second frame on, as without prediction.
 
     last_match is None after a flush, and after a cache-assisted frame it
     is the MatchResult that frame's reuse came from (its match_ratio is

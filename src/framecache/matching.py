@@ -22,7 +22,9 @@ MatchResult, match_frames first runs Steps 1, 4 and 5 alone at the prior's
 global motion, and keeps that result (with no searches) when it covers at
 least PRIOR_KEEP of what the prior covered.  Otherwise it runs the full
 pipeline, seeded with the SSEs the verification already scored, so the
-result is the one a call without ``prior`` returns.  This is the
+result is the one a call without ``prior`` returns.  A prior that covered
+less than PRIOR_MIN of the frame, as a scene cut leaves, found no dominant
+motion to predict from, so the call searches.  This is the
 motion-vector prediction of H.264/AVC and HEVC, applied to the one global
 motion.
 """
@@ -40,6 +42,12 @@ PSNR_MAX = 100.0
 
 # Share of the prior's match_ratio a prediction must reach to be kept.
 PRIOR_KEEP = 0.9
+# Least match_ratio a prior must have to be tried.  A search across a scene
+# cut covers at most about 2% of the frame, at a motion drawn from a few
+# chance matches; a prediction there clears PRIOR_KEEP easily yet can lose
+# most of the reuse a search of the next shot finds.  Below the bar the call
+# searches, which costs only time.
+PRIOR_MIN = 0.5
 
 # Large/small diamond search patterns; offsets relative to the pattern center.
 _LDSP = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (1, -1), (-1, 1), (1, 1))
@@ -430,7 +438,8 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
     == 0, if its match_ratio is at least PRIOR_KEEP * prior.match_ratio.
     Otherwise run the full pipeline, whose result then equals that of a
     call without prior; only its psnr_evals differ, since SSEs the
-    verification scored are not scored again.
+    verification scored are not scored again.  A prior whose match_ratio
+    is below PRIOR_MIN is not tried.
     """
     cfg = cfg or MatcherConfig()
     if cur.data.shape != ref.data.shape:
@@ -456,24 +465,24 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
         )
 
     sse = np.full(rows * cols, np.nan)
-    if prior is not None:
-        predicted = finish(prior.global_motion, sse)
+    predicted_at = (prior.global_motion if prior is not None and prior.match_ratio >= PRIOR_MIN
+                    else None)
+    if predicted_at is not None:
+        predicted = finish(predicted_at, sse)
         if predicted.match_ratio >= PRIOR_KEEP * prior.match_ratio:
             return predicted
 
     searched = np.flatnonzero((row % k == 0) & (col % k == 0))
     batch = _BlockBatch(cur16, ref16, bx[searched], by[searched], bs, bs, cfg, stats)
     r = batch.r
-    if prior is not None:
-        px, py = prior.global_motion
-        if max(abs(px), abs(py)) <= r:
-            batch.sse[:, py + r, px + r] = sse[searched]
+    if predicted_at is not None and max(map(abs, predicted_at)) <= r:
+        batch.sse[:, predicted_at[1] + r, predicted_at[0] + r] = sse[searched]
     offsets, best = batch.search()
     stats.searches += batch.n
 
     motion = _mean_motion([o for o, v in zip(offsets.tolist(), best.tolist())
                            if psnr_from_sse(v, batch.count) > cfg.threshold_t])
-    if prior is None or motion != prior.global_motion:
+    if motion != predicted_at:
         sse = np.full(rows * cols, np.nan)
     sse[searched] = batch.sse[:, motion[1] + r, motion[0] + r]
     return finish(motion, sse)

@@ -14,6 +14,7 @@ from framecache import (FeatureMap, Frame, LayerGeom, LayerSpec, LayerType,
                         load_weights, lrn_forward, parse_model, pool_forward,
                         preprocess, random_weights, relu_forward,
                         softmax_forward, synth_sequence)
+from framecache.matching import PRIOR_MIN
 
 import reference
 
@@ -727,10 +728,12 @@ class TestSession:
         # Frame 2, the first matched with a prior, fails in c2: either its
         # prediction is kept or (after a cut) it searches.  Frame 3 must then
         # run exactly as in a session that never saw frame 2, anchor included.
+        # 8-pixel blocks let the pan cover more than PRIOR_MIN of the frame.
+        cfg = MatcherConfig(block_size=8, threshold_t=20.0, skip_k=1, search_range=8)
         frames = synth_sequence(4, 32, 32, dx=2, dy=1, noise=0.005, seed=23)
         if cut:
             frames[2] = synth_sequence(1, 32, 32, seed=99)[0]
-        sess = make_session()
+        sess = make_session(matcher_cfg=cfg)
         for f in frames[:2]:
             sess.run_frame(f)
         real = engine.conv_forward_cached
@@ -754,7 +757,7 @@ class TestSession:
         assert (matched[0].stats.searches > 0) == cut
         out, metrics = sess.run_frame(frames[3])
 
-        clean = make_session()
+        clean = make_session(matcher_cfg=cfg)
         for f in (frames[0], frames[1]):
             clean.run_frame(f)
         want, want_metrics = clean.run_frame(frames[3])
@@ -764,30 +767,34 @@ class TestSession:
         assert sess.cache.anchor == clean.cache.anchor
         assert sess.cache.frames_since_flush == clean.cache.frames_since_flush == 3
 
-    def test_reuse_resumes_after_the_flush_that_follows_a_cut(self):
-        # A cut leaves an anchor that covers nothing, so the new scene's
-        # frames keep unsearched predictions, here reusing nothing, until the
-        # next flush; the first cache-assisted frame after it searches and
-        # reuses as a session that never saw the cut does.
-        cfg = MatcherConfig(block_size=10, threshold_t=25.0, skip_k=1, search_range=8)
+    def test_shot_after_a_cut_is_searched_and_reused(self):
+        # A cut leaves an anchor that covers next to nothing.  The next frame
+        # of the new shot searches rather than keep a prediction from it, and
+        # reuses as a session that started on that shot does; the one after
+        # it keeps a prediction from the new anchor.
+        cfg = MatcherConfig(block_size=8, threshold_t=25.0, skip_k=1, search_range=8)
         first = synth_sequence(1, 32, 32, seed=41)[0]
-        pan = synth_sequence(5, 32, 32, dx=2, dy=1, noise=0.005, seed=43)
-        sess = make_session(expire_n=4, matcher_cfg=cfg)
+        pan = synth_sequence(3, 32, 32, dx=2, dy=1, noise=0.005, seed=43)
+        sess = make_session(matcher_cfg=cfg)
         runs = []
         for f in [first] + pan:
-            _, metrics = sess.run_frame(f)
-            runs.append((metrics, sess.last_match))
-        assert [m.flushed for m, _ in runs] == [True, False, False, False, True, False]
-        assert runs[1][1].stats.searches > 0 and runs[1][1].match_ratio == 0.0
-        for metrics, match in runs[2:4]:
-            assert match.stats.searches == 0 and metrics.copied_pixels == 0
+            out, metrics = sess.run_frame(f)
+            runs.append((out, metrics, sess.last_match))
+        assert [m.flushed for _, m, _ in runs] == [True, False, False, False]
+        cut = runs[1][2]
+        assert cut.stats.searches > 0 and cut.match_ratio < PRIOR_MIN
 
         fresh = make_session(matcher_cfg=cfg)
-        fresh.run_frame(pan[3])
-        _, want = fresh.run_frame(pan[4])
-        metrics, match = runs[5]
+        fresh.run_frame(pan[0])
+        want_out, want = fresh.run_frame(pan[1])
+        out, metrics, match = runs[2]
         assert match.stats.searches > 0 and match == fresh.last_match
         assert metrics.copied_pixels == want.copied_pixels > 0
+        assert np.array_equal(bits(out.data), bits(want_out.data))
+        assert sess.cache.anchor is match
+
+        _, metrics, match = runs[3]
+        assert match.stats.searches == 0 and metrics.copied_pixels > 0
 
     def test_input_smaller_than_block_rejected(self):
         text = "input 1 8 8\nc1 conv k=3 out_ch=2 p=1 in=data out=b1\n"

@@ -12,7 +12,7 @@ from framecache import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, Frame, MatcherC
                         partition_grid, psnr, verify_blocks)
 from framecache.synth import synth_sequence
 
-from framecache.matching import PRIOR_KEEP, _search_blocks
+from framecache.matching import PRIOR_KEEP, PRIOR_MIN, _search_blocks
 from reference import (diamond_search_ref, exhaustive_search_ref, merge_blocks_ref,
                        psnr_ref, three_step_search_ref)
 
@@ -467,7 +467,8 @@ class TestPrior:
                                                 seed, motion, ratio):
         # A prior either yields the verify-and-merge result at its motion,
         # unsearched and covering at least PRIOR_KEEP of the prior, or the
-        # result of a call without prior, with every SSE scored once.
+        # result of a call without prior, with every SSE scored once.  A
+        # prior that covered less than PRIOR_MIN is not tried.
         ref, cur = scene_pair(kind, seed)
         cfg = MatcherConfig(block_size=8, skip_k=k, search_range=search_range,
                             strategy=strategy)
@@ -484,13 +485,14 @@ class TestPrior:
             return {(b.x, b.y, mx, my) for b in grid if frame.contains(b.translate(mx, my))}
 
         if res.stats.searches == 0:
+            assert ratio >= PRIOR_MIN
             assert res.match_ratio == predicted_ratio >= PRIOR_KEEP * ratio
             assert res.global_motion == p
             assert res.mappings == merge_blocks(verified, p)
             assert res.matched_block_count == len(verified)
             assert res.stats.psnr_evals == len(at(*p))
         else:
-            assert predicted_ratio < PRIOR_KEEP * ratio
+            assert ratio < PRIOR_MIN or predicted_ratio < PRIOR_KEEP * ratio
             assert ((res.mappings, res.global_motion, res.match_ratio,
                      res.matched_block_count, res.stats.searches)
                     == (plain.mappings, plain.global_motion, plain.match_ratio,
@@ -498,7 +500,8 @@ class TestPrior:
             cols = cur.width // 8
             searched = [b for i, b in enumerate(grid)
                         if (i // cols) % k == 0 and (i % cols) % k == 0]
-            scored = (scored_by_search(cur, ref, cfg, searched) | at(*p)
+            tried = at(*p) if ratio >= PRIOR_MIN else set()
+            scored = (scored_by_search(cur, ref, cfg, searched) | tried
                       | at(*plain.global_motion))
             assert res.stats.psnr_evals == len(scored)
 
@@ -510,12 +513,29 @@ class TestPrior:
         assert (res.mappings, res.global_motion, res.match_ratio) == \
             (plain.mappings, plain.global_motion, plain.match_ratio)
 
-    def test_prior_that_covered_nothing_keeps_any_prediction(self):
-        # the bar is inclusive: after a cut, even an empty prediction is kept
+    @pytest.mark.parametrize("dx, dy, seed", [(0, 0, 2), (2, 1, 6)])
+    def test_anchor_left_by_a_cut_is_not_tried(self, dx, dy, seed):
+        # A search across a cut covers a few blocks at a chance motion.
+        # On the next frame of the new shot (still or panning) the
+        # prediction there would clear PRIOR_KEEP of so small a prior yet
+        # cover far less than a search finds, so the call searches instead.
+        old = synth_sequence(1, 227, 227, noise=0.01, seed=5000 + seed)[0]
+        shot = synth_sequence(2, 227, 227, dx=dx, dy=dy, noise=0.01, seed=9000 + seed,
+                              square=True)
+        cut = match_frames(shot[0], old)
+        assert 0 < cut.match_ratio < PRIOR_MIN
+        grid = partition_grid(227, 227, 10)
+        chance = len(verify_blocks(shot[1], shot[0], grid, cut.global_motion, MatcherConfig()))
+        plain = match_frames(shot[1], shot[0])
+        assert PRIOR_KEEP * cut.match_ratio <= chance * 100 / 227**2 < plain.match_ratio / 2
+        res = match_frames(shot[1], shot[0], prior=cut)
+        assert res == plain
+
+    def test_prior_that_covered_nothing_is_not_tried(self):
         cur = noise_frame(1, channels=3, h=60, w=60)
         ref = noise_frame(2, channels=3, h=60, w=60)
         res = match_frames(cur, ref, prior=MatchResult([], (0, 0), 0.0, 0))
-        assert res.stats.searches == 0 and res.match_ratio == 0.0
+        assert res == match_frames(cur, ref)
 
     def test_dropped_coverage_runs_the_search(self):
         ref, cur = texture_pair(2, 1, seed=4, w=100, h=80, noise=0.02)
