@@ -31,12 +31,15 @@ conv nor fc sums term by term on its common path: a float64 matrix
 product in whatever order the BLAS picks comes with a rigorous error
 bound covering its distance both to the exact sum and to any ordered
 one, and where every value inside that bound rounds to the same float32
-the stored result is known (_screen).  The rare entries where it does
-not (exact zeros, heavy cancellation, non-finite terms) are summed by
-the defining formula: in the fixed order for conv, exactly with
-math.fsum for fc.  Transcendentals in hot paths use numpy's vectorized
-forms; softmax uses scalar math.exp so its tiny head stays identical to
-a scalar reference.
+the stored result is known (_screen).  The bound scales with the terms'
+magnitudes, which Cauchy-Schwarz caps at |b| + ||x|| * ||w|| for input
+x and weight row w, widened by 1 + 4*(n+2)*u to cover its own rounding
+(_weight_norms), so the matrix product is the only BLAS product per
+pixel.  The rare entries the screen does not settle (exact zeros, heavy
+cancellation, non-finite terms) are summed by the defining formula: in
+the fixed order for conv, exactly with math.fsum for fc.
+Transcendentals in hot paths use numpy's vectorized forms; softmax uses
+scalar math.exp so its tiny head stays identical to a scalar reference.
 """
 
 from __future__ import annotations
@@ -241,6 +244,10 @@ def _check_conv(input: FeatureMap, spec: LayerSpec) -> tuple[int, int]:
 _U64 = 2.0 ** -53
 _TINY64 = float(np.finfo(np.float64).tiny)
 
+# Smallest squared row norm _weight_norms takes as summed: squares that
+# underflowed can hide at most n * 2**-1074 of it, far below its margin.
+_NORM_SQ_MIN = 2.0 ** -900
+
 
 # Most float64 window values _conv_at gathers at once (512 KB, which keeps
 # a chunk in a core's L2 cache), so its memory stays bounded whatever the
@@ -251,29 +258,62 @@ _CHUNK_ELEMS = 1 << 16
 def _screen(s: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Settle sums of n float64 terms from a product in unknown order.
 
-    s is the terms' sum, computed in any order, and a the sum of their
-    magnitudes, computed likewise.  Returns the float32 array that holds
+    s is the terms' sum, computed in any order, and a an upper bound on
+    the sum of their magnitudes.  Returns the float32 array that holds
     the stored result wherever it is settled, and the boolean mask of the
     entries that are not.
 
     Summing n float64 terms in any order lands within
     gamma = (n-1)*u/(1-(n-1)*u) times the sum of their magnitudes of the
     exact sum (u = 2**-53), so any two orders land within 2*gamma of each
-    other; the computed a is off by the same relative gamma.  So err = 4*n*u*a + tiny
-    bounds, with margin while n*u is small, both the distance from s to
-    the exact sum and the distance from s to the sum in any fixed order.
-    [s - err, s + err], widened outward by one ulp to absorb the rounding
-    of the subtraction and addition, holds both.  Rounding to float64 and
-    then to float32 is monotone, so where both ends of that interval store
-    as the same float32 bit pattern, so do the correctly rounded sum and
-    every ordered one: that entry is settled.  Exact zeros (whose ends
-    store as -0.0 and +0.0), sums that cancel to near a float32 rounding
-    boundary and non-finite bounds are left unsettled.
+    other.  So err = 4*n*u*a + tiny bounds, with margin while n*u is
+    small, both the distance from s to the exact sum and the distance from
+    s to the sum in any fixed order; tiny covers products and sums that
+    underflow.  Rounding is monotone, so the computed s - err and s + err,
+    the ends of that interval rounded to float64, enclose every float64
+    value inside it, which the correctly rounded sum and every ordered
+    one are; rounding on to float32 is monotone too.  So where both ends
+    store as the same finite float32 bit pattern, so do those sums: that
+    entry is settled.  Exact zeros (whose ends store as -0.0 and +0.0),
+    sums that cancel to near a float32 rounding boundary, and entries
+    whose low end does not store as a finite float32 (non-finite terms or
+    bounds, and sums beyond the float32 range, where float64 overflow
+    could void the error analysis) are left unsettled.
     """
     err = (4.0 * n * _U64) * a + _TINY64
-    out = np.nextafter(s - err, -np.inf).astype(np.float32)
-    hi = np.nextafter(s + err, np.inf).astype(np.float32)
-    return out, ~np.isfinite(err) | (out.view(np.uint32) != hi.view(np.uint32))
+    out = (s - err).astype(np.float32)
+    hi = (s + err).astype(np.float32)
+    return out, ~np.isfinite(out) | (out.view(np.uint32) != hi.view(np.uint32))
+
+
+def _weight_norms(w64: np.ndarray) -> np.ndarray:
+    """Per-row factors of the Cauchy-Schwarz bound for a float64 (rows, n)
+    weight matrix: for any float32 vector x, the float64 product of its
+    2-norm (the square root of its sum of squares, summed in any order)
+    with entry r is at least sum_i |w64[r, i] * x_i|, unless that product
+    underflows.
+
+    Each row's 2-norm is widened by the margin 1 + 4*(n+2)*u, which covers
+    the rounding of both sums of squares (gamma_n each, halved by the
+    square roots), of the squares of w, of both square roots and of the
+    two products, with room to spare.  The squares of a float32 x are exact
+    and never overflow or underflow in float64, but those of wider
+    weights may: a row whose sum of squares lies outside
+    [_NORM_SQ_MIN, inf) is scaled by a power of two that brings its
+    largest entry into [0.5, 1) and its norm scaled back.  A norm that
+    would be subnormal is raised to the smallest normal float64, so the
+    scaling back never rounds it down; one that overflows, or a row
+    holding an infinity or NaN, gives a non-finite bound, which leaves
+    its entries unsettled.
+    """
+    q = np.einsum("ij,ij->i", w64, w64)
+    norms = np.sqrt(q)
+    odd = np.flatnonzero(~((q >= _NORM_SQ_MIN) & (q < np.inf)))
+    if odd.size:
+        _, e = np.frexp(np.abs(w64[odd]).max(axis=1))
+        scaled = np.ldexp(w64[odd], -e[:, None])
+        norms[odd] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), e)
+    return np.maximum(norms, _TINY64) * (1.0 + 4 * (w64.shape[1] + 2) * _U64)
 
 
 def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
@@ -287,36 +327,40 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
     kernel col) ascending order, added one at a time.  The pixels' windows
     are gathered as im2col rows, at most _CHUNK_ELEMS values at a time,
     and multiplied by the weights in float64 in whatever order the BLAS
-    picks; _screen settles every entry whose error interval stores as one
-    float32, which is then the fixed-order sum's.  The few entries it
-    leaves unsettled (exact zeros, near-ties, non-finite terms) have their
-    windows gathered again and are summed in the fixed order by one
-    sequential np.add.accumulate.  So a pixel's value depends neither on
-    which other pixels are computed with it nor on the chunking.
+    picks; each row's squared 2-norm is summed next to that product.  The
+    terms' magnitudes are bounded by Cauchy-Schwarz:
+    |b| + ||window|| * ||w|| * (1 + 4*(n+2)*u) (see _weight_norms), and
+    _screen settles every entry whose error interval under that bound
+    stores as one float32, which is then the fixed-order sum's.  The few
+    entries it leaves unsettled (exact zeros, near-ties, non-finite terms)
+    have their windows gathered again and are summed in the fixed order
+    by one sequential np.add.accumulate.  So a pixel's value depends
+    neither on which other pixels are computed with it nor on the
+    chunking.
     """
     k, s, p = spec.geom.kernel, spec.geom.stride, spec.geom.pad
     out_ch = spec.weights.shape[0]
     w64 = spec.weights.astype(np.float64).reshape(out_ch, -1)
     b64 = spec.biases.astype(np.float64)
-    w_abs = np.abs(w64)
     padded = _pad_input(input.data.astype(np.float64), p)
     # (out_y, out_x, in_ch, ky, kx) view of every output pixel's window.
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (k, k), axis=(1, 2))[:, ::s, ::s].transpose(1, 2, 0, 3, 4)
     n_cols = w64.shape[1]
     sums = np.empty((idx_y.size, out_ch))
-    bound = np.empty((idx_y.size, out_ch))
+    norms = np.empty(idx_y.size)
     step = max(1, _CHUNK_ELEMS // n_cols)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, idx_y.size, step):
             px = slice(lo, lo + step)
             cols = windows[idx_y[px], idx_x[px]].reshape(-1, n_cols)
             np.matmul(cols, w64.T, out=sums[px])
-            np.matmul(np.abs(cols, out=cols), w_abs.T, out=bound[px])
+            np.einsum("ij,ij->i", cols, cols, out=norms[px])
         sums += b64
+        bound = np.multiply.outer(np.sqrt(norms, out=norms), _weight_norms(w64))
         bound += np.abs(b64)
         out, unsettled = _screen(sums, bound, n_cols + 1)
-        pix, ch = np.nonzero(unsettled)
+        pix, ch = np.divmod(np.flatnonzero(unsettled), out_ch)
         if pix.size:
             cols = windows[idx_y[pix], idx_x[pix]].reshape(-1, n_cols)
             terms = np.concatenate([b64[ch, None], w64[ch] * cols], axis=1)
@@ -447,8 +491,11 @@ def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     fsum.)
 
     Every row is first summed by a float64 matrix-vector product in
-    whatever order the BLAS picks, and _screen settles the rows whose
-    error interval stores as one float32.  The other rows (exact zeros,
+    whatever order the BLAS picks.  Its terms' magnitudes are bounded by
+    |b| + ||x|| * ||w_row|| * (1 + 4*(n+2)*u), as in _conv_at (see
+    _weight_norms, which also keeps wider weights' norms from underflowing
+    or overflowing), and _screen settles the rows whose error interval
+    under that bound stores as one float32.  The other rows (exact zeros,
     sums that cancel to near a float32 rounding boundary, non-finite
     terms) are summed exactly by math.fsum, bias first, which also keeps
     its +0.0 for an exact zero and its ValueError for inf - inf.
@@ -462,14 +509,11 @@ def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
                          f"got {x64.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         s = w64 @ x64 + b64
-        # w64 is this call's own copy; taking |w| in place saves an allocation.
-        a = np.abs(w64, out=w64) @ np.abs(x64) + np.abs(b64)
+        a = _weight_norms(w64) * np.sqrt(x64 @ x64) + np.abs(b64)
         out, unsettled = _screen(s, a, x64.size + 1)
         rows = np.flatnonzero(unsettled)
         if rows.size:
-            exact = [math.fsum([float(b64[r])]
-                               + (spec.weights[r].astype(np.float64) * x64).tolist())
-                     for r in rows]
+            exact = [math.fsum([float(b64[r])] + (w64[r] * x64).tolist()) for r in rows]
             out[rows] = np.array(exact).astype(np.float32)
     return FeatureMap(out.reshape(-1, 1, 1))
 

@@ -154,14 +154,21 @@ def _windows(frame: np.ndarray, h: int, w: int) -> np.ndarray:
         frame, (h, w), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
 
 
-def _window_sse(cur16, ref16, h: int, w: int, cy, cx, ry, rx) -> np.ndarray:
-    """SSE between the h x w windows of cur at (cy, cx) and of ref at (ry, rx).
+def _gather(frame16, h: int, w: int, y, x) -> np.ndarray:
+    """The h x w windows of a [c, H, W] frame at (y[i], x[i]), one
+    flattened row each."""
+    return _windows(frame16, h, w)[y, x].reshape(len(y), frame16.shape[0] * h * w)
+
+
+def _window_sse(cur_rows, ref16, h: int, w: int, ry, rx) -> np.ndarray:
+    """SSE between the current-frame windows cur_rows (as _gather returns
+    them) and the h x w windows of ref at (ry, rx).
 
     The frames are int16 copies of 8-bit data, so differences are exact and
     the int64 sums equal the exact squared-error sums.
     """
-    d = _windows(ref16, h, w)[ry, rx].reshape(len(ry), ref16.shape[0] * h * w)
-    d -= _windows(cur16, h, w)[cy, cx].reshape(d.shape)
+    d = _gather(ref16, h, w, ry, rx)
+    d -= cur_rows
     return np.einsum("nk,nk->n", d, d, dtype=np.int64).astype(np.float64)
 
 
@@ -174,16 +181,17 @@ class _BlockBatch:
     search range capped by the largest offset the frame admits, so the
     table never outgrows the frame.  Each block follows its own search
     trajectory; a search step scores the pattern around every block's
-    center with one gather over the frames.  SSE values are exact, so they
-    are identical no matter which code path or summation order produced
-    them, and an entry written before the search (a seed) is one the
-    search need not score.
+    center with one gather over the reference frame, the blocks' own
+    windows having been gathered once, at construction.  SSE values are
+    exact, so they are identical no matter which code path or summation
+    order produced them, and an entry written before the search (a seed)
+    is one the search need not score.
     """
 
     def __init__(self, cur16, ref16, bx: np.ndarray, by: np.ndarray, h: int, w: int,
                  cfg: MatcherConfig, stats: MatchStats):
         self.h, self.w = h, w
-        self.cur = cur16
+        self.cur_rows = _gather(cur16, h, w, by, bx)
         self.ref = ref16
         self.bx, self.by = bx, by
         self.cfg = cfg
@@ -218,8 +226,8 @@ class _BlockBatch:
         vals = self.sse[at]
         miss = np.isnan(vals)
         mb, my, mx = blk[miss], vdy[miss], vdx[miss]
-        cy, cx = self.by[mb], self.bx[mb]
-        vals[miss] = _window_sse(self.cur, self.ref, self.h, self.w, cy, cx, cy + my, cx + mx)
+        vals[miss] = _window_sse(self.cur_rows[mb], self.ref, self.h, self.w,
+                                 self.by[mb] + my, self.bx[mb] + mx)
         self.sse[at] = vals
         self.stats.psnr_evals += len(mb)
         sse = np.full(dx.shape, np.inf)
@@ -268,7 +276,7 @@ def _exhaustive_search(b: _BlockBatch) -> np.ndarray:
         dx_lo, dx_hi = int(b.dx_lo[i]), int(b.dx_hi[i])
         dy_lo, dy_hi = int(b.dy_lo[i]), int(b.dy_hi[i])
         region = b.ref[:, y + dy_lo:y + dy_hi + h, x + dx_lo:x + dx_hi + w]
-        d = _windows(region, h, w) - b.cur[:, y:y + h, x:x + w]
+        d = _windows(region, h, w) - b.cur_rows[i].reshape(-1, h, w)
         sse = np.einsum("ijchw,ijchw->ij", d, d, dtype=np.int64).astype(np.float64)
         dxs, dys = np.meshgrid(np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1))
         table = b.sse[i, dy_lo + b.r:dy_hi + b.r + 1, dx_lo + b.r:dx_hi + b.r + 1]
@@ -347,7 +355,7 @@ def _verify(cur16, ref16, bx, by, h: int, w: int, motion, cfg, sse, stats) -> np
     inside = ((bx + mx >= 0) & (by + my >= 0)
               & (bx + mx + w <= ref16.shape[2]) & (by + my + h <= ref16.shape[1]))
     todo = np.flatnonzero(inside & np.isnan(sse))
-    sse[todo] = _window_sse(cur16, ref16, h, w, by[todo], bx[todo],
+    sse[todo] = _window_sse(_gather(cur16, h, w, by[todo], bx[todo]), ref16, h, w,
                             by[todo] + my, bx[todo] + mx)
     stats.psnr_evals += todo.size
     count = cur16.shape[0] * h * w

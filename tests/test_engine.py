@@ -376,6 +376,175 @@ class TestFcForward:
             fc_forward(rand_map(0, 2, 3, 3), self.fc_spec(4, 10))
 
 
+def captured_screens(patch: pytest.MonkeyPatch) -> list:
+    """Patch engine._screen to record a copy of every (sums, bound, n) it gets."""
+    calls = []
+    screen = engine._screen
+
+    def capture(s, a, n):
+        calls.append((s.copy(), a.copy(), n))
+        return screen(s, a, n)
+
+    patch.setattr(engine, "_screen", capture)
+    return calls
+
+
+def conv_windows(x, k, s, p) -> np.ndarray:
+    """(pixels, in_ch*k*k) float64 windows in row-major pixel order, each in
+    (input channel, kernel row, kernel col) order, as conv_naive sums them."""
+    c, h, w = x.shape
+    padded = np.zeros((c, h + 2 * p, w + 2 * p))
+    padded[:, p:p + h, p:p + w] = x
+    oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    return np.array([padded[:, y * s:y * s + k, xx * s:xx * s + k].ravel()
+                     for y in range(oh) for xx in range(ow)])
+
+
+def magnitude_sums(rows, w, b) -> np.ndarray:
+    """(rows, out) math.fsum of |b| and the float64 products |w| * |row|."""
+    w64, b64 = np.abs(np.asarray(w, np.float64)), np.abs(np.asarray(b, np.float64))
+    return np.array([[math.fsum([float(b64[o])] + (w64[o] * np.abs(row)).tolist())
+                      for o in range(len(b64))] for row in rows])
+
+
+# Weights as loaded (float32) or wider (float64), from 2**-100 up to 2**100
+# in magnitude, or zero: their products with float32 inputs never underflow.
+WIDE_VALUES = st.one_of(st.just(0.0), st.floats(2.0 ** -100, 2.0 ** 100)).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def bound_cases(draw):
+    """Finite (input map, spec) pairs with float32 or float64 weights."""
+    in_ch, k, s, p, out_ch = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                              draw(st.integers(1, 2)), draw(st.integers(0, 1)),
+                              draw(st.integers(1, 3)))
+    h, w = draw(st.integers(max(1, k - 2 * p), 5)), draw(st.integers(max(1, k - 2 * p), 5))
+    x = draw(arrays(np.float32, (in_ch, h, w), elements=INPUT_VALUES, fill=st.nothing()))
+    dtype, values = draw(st.sampled_from([(np.float32, WEIGHT_VALUES),
+                                          (np.float64, WIDE_VALUES)]))
+    wt = draw(arrays(dtype, (out_ch, in_ch, k, k), elements=values, fill=st.nothing()))
+    b = draw(arrays(dtype, out_ch, elements=values, fill=st.nothing()))
+    spec = conv_spec(k, out_ch, s, p, in_ch=in_ch)
+    spec.weights, spec.biases = wt, b
+    return fmap(x), spec
+
+
+class TestNormBound:
+    """The magnitude bound both kernels hand _screen must be at least the
+    correctly rounded sum of the terms' magnitudes, bias included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_cases())
+    def test_conv_bound_covers_every_window(self, case):
+        x, spec = case
+        g = spec.geom
+        with pytest.MonkeyPatch.context() as patch:
+            calls = captured_screens(patch)
+            conv_forward(x, spec)
+        (_, bound, _), = calls
+        rows = conv_windows(x.data.astype(np.float64), g.kernel, g.stride, g.pad)
+        want = magnitude_sums(rows, spec.weights.reshape(len(spec.biases), -1), spec.biases)
+        assert np.all(bound >= want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_cases())
+    def test_fc_bound_covers_every_row(self, case):
+        x, conv = case
+        w = conv.weights.reshape(len(conv.biases), -1)
+        flat = np.resize(x.data.ravel(), w.shape[1])
+        spec = fc_layer(w, conv.biases)
+        spec.weights, spec.biases = w, conv.biases   # float64 stays float64
+        with pytest.MonkeyPatch.context() as patch:
+            calls = captured_screens(patch)
+            fc_forward(fmap(flat.reshape(-1, 1, 1)), spec)
+        (_, bound, _), = calls
+        assert np.all(bound >= magnitude_sums([flat.astype(np.float64)], w, spec.biases)[0])
+
+    def test_parallel_terms_need_the_margin(self, monkeypatch):
+        # Cauchy-Schwarz is tight where |x| and |w| are parallel, and for
+        # three ones the float64 sqrt(3) * sqrt(3) is just below 3.
+        calls = captured_screens(monkeypatch)
+        spec = conv_spec(1, 1, in_ch=3)
+        spec.weights = np.ones((1, 3, 1, 1), dtype=np.float32)
+        spec.biases = np.zeros(1, dtype=np.float32)
+        conv_forward(fmap(np.ones((3, 2, 2))), spec)
+        fc_forward(fmap(np.ones((3, 1, 1))), fc_layer(np.ones((1, 3)), [0.0]))
+        assert all(np.all(bound >= 3.0) for _, bound, _ in calls)
+
+
+class TestWideWeights:
+    """float64 weights whose squares underflow (1e-200) or overflow (1e200)
+    in float64.  Every window's terms cancel exactly, so the stored sign of
+    each zero-sized sum depends on the summation order: an underestimated
+    bound would settle entries the fixed-order or fsum formula stores
+    differently."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_conv_matches_naive(self, monkeypatch, scale):
+        rng = np.random.default_rng(11)
+        half = rng.uniform(0.5, 2.0, size=(4, 7, 7)).astype(np.float32)
+        x = fmap(np.concatenate([half, half]))
+        w = rng.normal(size=(6, 4, 3, 3)) * scale
+        spec = conv_spec(3, 6, 1, 1, in_ch=8)
+        spec.weights = np.concatenate([w, -w], axis=1)
+        spec.biases = np.zeros(6)
+        calls = captured_screens(monkeypatch)
+        got = conv_forward(x, spec)
+        with np.errstate(over="ignore"):
+            want = reference.conv_naive(x.data, spec.weights, spec.biases, 1, 1)
+        assert np.array_equal(bits(got.data), bits(want))
+        rows = conv_windows(x.data.astype(np.float64), 3, 1, 1)
+        (_, bound, _), = calls
+        assert np.all(bound >= magnitude_sums(rows, spec.weights.reshape(6, -1), spec.biases))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_fc_matches_fsum(self, monkeypatch, scale):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.5, 2.0, size=40).astype(np.float32)
+        w = rng.normal(size=(8, 40)) * scale
+        spec = fc_layer(np.zeros((8, 80)), np.zeros(8))
+        spec.weights = np.concatenate([w, -w[:, ::-1]], axis=1)
+        spec.biases = np.zeros(8)
+        flat = np.concatenate([x, x[::-1]])
+        calls = captured_screens(monkeypatch)
+        got = fc_forward(fmap(flat.reshape(-1, 1, 1)), spec)
+        assert np.array_equal(bits(got.data),
+                              bits(reference.fc_fsum(flat, spec.weights, spec.biases)))
+        (_, bound, _), = calls
+        assert np.all(bound >= magnitude_sums([flat], spec.weights, spec.biases)[0])
+
+
+# The conv stack of the 227x227 benchmark model, inputs preprocessed as there.
+BENCH_CONV_STACK = """\
+input 3 227 227
+conv1 conv k=11 s=4 out_ch=16 in=data out=c1
+relu1 relu in=c1 out=r1
+norm1 lrn r=2 in=r1 out=n1
+pool1 pool k=3 s=2 in=n1 out=p1
+conv2 conv k=5 p=2 out_ch=32 in=p1 out=c2
+relu2 relu in=c2 out=r2
+pool2 pool k=3 s=2 in=r2 out=p2
+conv3 conv k=3 p=1 out_ch=64 in=p2 out=c3
+"""
+
+
+def test_benchmark_convs_rarely_take_the_fixed_order_path(monkeypatch):
+    # A bound loose enough to leave many entries unsettled still gives
+    # the right bits, only slowly: count the entries, not the time.
+    graph = parse_model(BENCH_CONV_STACK)
+    load_weights(random_weights(graph, 5), graph)
+    session = Session(graph, mean=(123.68, 116.78, 103.94), scale=0.017)
+    screen = engine._screen
+    calls = captured_screens(monkeypatch)
+    for frame in synth_sequence(2, 227, 227, dx=2, dy=1, noise=0.01, seed=5, square=True):
+        session.run_frame(frame)
+    entries = sum(a.size for _, a, _ in calls)
+    unsettled = sum(int(screen(s, a, n)[1].sum()) for s, a, n in calls)
+    assert len(calls) == 6 and entries > 100_000
+    assert unsettled < 0.005 * entries
+
+
 class TestScreen:
     @pytest.mark.parametrize("n", [4, 12, 40, 400])
     def test_settles_only_the_fixed_order_sum(self, n):
@@ -416,6 +585,41 @@ class TestScreen:
         with np.errstate(invalid="ignore"):
             _, unsettled = engine._screen(s, a, 3)
         assert unsettled.tolist() == [False, True, True, True]
+
+    def test_float32_subnormal_sums_settle(self):
+        # Sums whose float32 is subnormal settle to it; those too small for
+        # any float32 (float64 subnormals) straddle +-0.0 and do not.
+        s = np.array([1e-40, -3e-44, 2.0 ** -149, 5e-324, -1e-310])
+        out, unsettled = engine._screen(s, np.abs(s), 2)
+        assert unsettled.tolist() == [False, False, False, True, True]
+        assert np.array_equal(bits(out[:3]), bits(s[:3].astype(np.float32)))
+
+    def test_zero_sums_stay_unsettled(self):
+        s = np.array([0.0, -0.0, 0.0, -0.0])
+        _, unsettled = engine._screen(s, np.array([0.0, 0.0, 1.0, 1.0]), 3)
+        assert unsettled.all()
+
+    def test_float32_overflow_boundary(self):
+        # Sums at and beyond float32's rounding boundary to infinity
+        # (2**128 - 2**103, a tie that rounds to 2**128) stay unsettled;
+        # float32's largest value settles, and an interval reaching from
+        # below the boundary across it does not.
+        big = float(np.finfo(np.float32).max)
+        edge = 2.0 ** 128 - 2.0 ** 103
+        s = np.array([big, edge - 2.0 ** 90, edge - 2.0 ** 90, edge, 2.0 ** 128, -edge])
+        a = np.array([big, 1.0, 2.0 ** 150, 1.0, 1.0, 1.0])
+        with np.errstate(over="ignore"):
+            out, unsettled = engine._screen(s, a, 3)
+        assert unsettled.tolist() == [False, False, True, True, True, True]
+        assert out[0] == out[1] == np.float32(big)
+
+    def test_float64_overflowing_ends_stay_unsettled(self):
+        # s + err (or s - err) overflows float64 at its largest value.
+        top = float(np.finfo(np.float64).max)
+        s = np.array([top, -top])
+        with np.errstate(over="ignore"):
+            _, unsettled = engine._screen(s, np.array([top, top]), 3)
+        assert unsettled.all()
 
 
 class TestSoftmax:
