@@ -11,7 +11,7 @@ from .core import (EMPTY_RECT, FeatureMap, Frame, Rect, RegionMapping,
 from .matching import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, MatcherConfig,
                        MatchResult, MatchStats, block_search,
                        estimate_global_motion, match_frames, merge_blocks,
-                       partition_grid, psnr, psnr_from_sse, verify_blocks)
+                       partition_grid, psnr, verify_blocks)
 from .regions import (LayerGeom, LayerType, concat_mappings, propagate_mappings,
                       transform_mapping, transform_region)
 from .engine import (CacheStore, ConvLayerMacs, FrameMetrics, LayerSpec,
@@ -30,7 +30,7 @@ __all__ = [
     "Rect", "EMPTY_RECT", "RegionMapping", "Frame", "FeatureMap",
     "rect_intersect", "rect_clip",
     "MatcherConfig", "BlockMatch", "MatchResult", "MatchStats",
-    "PSNR_MAX", "SEARCH_STRATEGIES", "partition_grid", "psnr", "psnr_from_sse",
+    "PSNR_MAX", "SEARCH_STRATEGIES", "partition_grid", "psnr",
     "block_search", "estimate_global_motion", "verify_blocks", "merge_blocks",
     "match_frames",
     "LayerType", "LayerGeom", "transform_region", "transform_mapping",

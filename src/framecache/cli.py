@@ -71,14 +71,10 @@ def _load_frames(dirpath: str) -> list[tuple[str, Frame]]:
 
 
 def _top_entries(output) -> tuple[list[int], list[float]]:
-    """Top-5 (index, value) of the flattened output, or everything if small.
-    Ties go to the lower index."""
+    """Top-5 (index, value) of the flattened output, largest first (all
+    entries if there are fewer).  Ties go to the lower index."""
     vec = output.data.ravel()
-    idx = sorted(range(vec.size), key=lambda i: (-vec[i], i))
-    if vec.size > 5:
-        idx = idx[:5]
-    else:
-        idx = list(range(vec.size))
+    idx = np.lexsort((np.arange(vec.size), -vec))[:5].tolist()
     return idx, [float(vec[i]) for i in idx]
 
 
@@ -224,29 +220,25 @@ def cmd_bench_matcher(args) -> int:
     frames = _load_frames(args.frames)
     if len(frames) < 2:
         raise ValueError("bench-matcher needs at least 2 frames")
-    strategies = args.strategies.split(",")
-    for s in strategies:
-        if s not in SEARCH_STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}; "
-                             f"choose from {sorted(SEARCH_STRATEGIES)}")
+    # every config is built, and so checked, before any is timed
+    configs = [(MatcherConfig(block_size=args.block_size, threshold_t=args.threshold,
+                              skip_k=args.skip_k if optimized else 1,
+                              search_range=args.search_range, strategy=strategy), optimized)
+               for strategy in args.strategies.split(",") for optimized in (False, True)]
     pairs = [(frames[i - 1][1], frames[i][1]) for i in range(1, len(frames))]
     rows = []
-    for strategy in strategies:
-        for optimized in (False, True):
-            cfg = MatcherConfig(block_size=args.block_size, threshold_t=args.threshold,
-                                skip_k=args.skip_k if optimized else 1,
-                                search_range=args.search_range, strategy=strategy)
-            times = []
-            ratios = []
-            for ref, cur in pairs:
-                t0 = time.perf_counter()
-                result = match_frames(cur, ref, cfg)
-                times.append((time.perf_counter() - t0) * 1000.0)
-                ratios.append(result.match_ratio)
-            rows.append([strategy, "true" if optimized else "false", len(pairs),
-                         f"{statistics.fmean(times):.3f}",
-                         f"{statistics.pstdev(times):.3f}",
-                         f"{statistics.fmean(ratios):.6f}"])
+    for cfg, optimized in configs:
+        times = []
+        ratios = []
+        for ref, cur in pairs:
+            t0 = time.perf_counter()
+            result = match_frames(cur, ref, cfg)
+            times.append((time.perf_counter() - t0) * 1000.0)
+            ratios.append(result.match_ratio)
+        rows.append([cfg.strategy, "true" if optimized else "false", len(pairs),
+                     f"{statistics.fmean(times):.3f}",
+                     f"{statistics.pstdev(times):.3f}",
+                     f"{statistics.fmean(ratios):.6f}"])
 
     lines = [BENCH_CSV_HEADER] + rows
     if args.out:

@@ -148,12 +148,6 @@ class CacheStore:
         if self.expire_n < 1:
             raise ValueError("expire_n must be >= 1")
 
-    def clear(self):
-        self.prev_frame = None
-        self.conv_outputs.clear()
-        self.frames_since_flush = 0
-        self.anchor = None
-
     def commit(self, frame: Frame, conv_outputs: dict[str, FeatureMap], flushed: bool,
                match: MatchResult | None):
         """Install a finished frame's state in one step, so a frame that

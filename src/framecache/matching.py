@@ -15,18 +15,20 @@ channels, peak value 255).  Identical blocks score the finite sentinel
 Two accelerations are built in: Step 2 can search only every k-th grid row
 and column (``skip_k``), and every SSE the search computes lands in one
 table per search, indexed by block and offset, so Step 4 re-verification
-reads the ones at the global motion instead of recomputing them.
+reads the ones at the global motion instead of recomputing them.  All
+three search strategies score, range-check, count and rank their
+candidates through one method, ``_BlockBatch.best``; a strategy only
+chooses which offsets to try.
 
 Temporal motion prediction: given ``prior``, an earlier searched
 MatchResult, match_frames first runs Steps 1, 4 and 5 alone at the prior's
 global motion, and keeps that result (with no searches) when it covers at
-least PRIOR_KEEP of what the prior covered.  Otherwise it runs the full
-pipeline, seeded with the SSEs the verification already scored, so the
-result is the one a call without ``prior`` returns.  A prior that covered
-less than PRIOR_MIN of the frame, as a scene cut leaves, found no dominant
-motion to predict from, so the call searches.  This is the
-motion-vector prediction of H.264/AVC and HEVC, applied to the one global
-motion.
+least PRIOR_KEEP of what the prior covered.  Otherwise it runs the same
+pipeline a call without ``prior`` runs, so the result is the one that call
+returns.  A prior that covered less than PRIOR_MIN of the frame, as a
+scene cut leaves, found no dominant motion to predict from, so the call
+searches.  This is the motion-vector prediction of H.264/AVC and HEVC,
+applied to the one global motion.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ class MatchStats:
     """Work counters, mostly for tests and the matcher benchmark."""
 
     searches: int = 0        # Step-2 block_search invocations (0 for a kept prediction)
-    psnr_evals: int = 0      # distinct (block, offset) SSEs scored, all steps
+    # SSEs the call scored, all steps.  Each step scores a (block, offset)
+    # pair at most once, but after a rejected prediction the search and
+    # Step 4 may score pairs the prediction's verification already scored.
+    psnr_evals: int = 0
 
 
 @dataclass(frozen=True)
@@ -148,16 +153,12 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return psnr_from_sse(float(np.dot(d, d)), d.size)
 
 
-def _windows(frame: np.ndarray, h: int, w: int) -> np.ndarray:
-    """View of every h x w window of a [c, H, W] frame: [y, x, c, h, w]."""
-    return np.lib.stride_tricks.sliding_window_view(
-        frame, (h, w), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
-
-
 def _gather(frame16, h: int, w: int, y, x) -> np.ndarray:
     """The h x w windows of a [c, H, W] frame at (y[i], x[i]), one
     flattened row each."""
-    return _windows(frame16, h, w)[y, x].reshape(len(y), frame16.shape[0] * h * w)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        frame16, (h, w), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+    return windows[y, x].reshape(len(y), frame16.shape[0] * h * w)
 
 
 def _window_sse(cur_rows, ref16, h: int, w: int, ry, rx) -> np.ndarray:
@@ -183,9 +184,7 @@ class _BlockBatch:
     trajectory; a search step scores the pattern around every block's
     center with one gather over the reference frame, the blocks' own
     windows having been gathered once, at construction.  SSE values are
-    exact, so they are identical no matter which code path or summation
-    order produced them, and an entry written before the search (a seed)
-    is one the search need not score.
+    exact, so they are identical no matter which step scored them.
     """
 
     def __init__(self, cur16, ref16, bx: np.ndarray, by: np.ndarray, h: int, w: int,
@@ -256,11 +255,9 @@ def _diamond_search(b: _BlockBatch) -> np.ndarray:
 
 
 def _three_step_search(b: _BlockBatch) -> np.ndarray:
-    sr = b.cfg.search_range
+    # A range of 0 gives one round of step 1, of which only (0, 0) is in range.
     centers = np.zeros((b.n, 2), dtype=np.int64)
-    if sr == 0:
-        return b.best(np.arange(b.n), centers, ((0, 0),))
-    rounds = max(1, (sr - 1).bit_length())
+    rounds = max(1, (b.cfg.search_range - 1).bit_length())
     step = 1 << (rounds - 1)
     while step >= 1:
         pattern = ((0, 0),) + tuple((ox * step, oy * step) for ox, oy in _TSS_DIRS)
@@ -270,23 +267,12 @@ def _three_step_search(b: _BlockBatch) -> np.ndarray:
 
 
 def _exhaustive_search(b: _BlockBatch) -> np.ndarray:
-    out = np.zeros((b.n, 2), dtype=np.int64)
-    h, w = b.h, b.w
-    for i, (x, y) in enumerate(zip(b.bx.tolist(), b.by.tolist())):
-        dx_lo, dx_hi = int(b.dx_lo[i]), int(b.dx_hi[i])
-        dy_lo, dy_hi = int(b.dy_lo[i]), int(b.dy_hi[i])
-        region = b.ref[:, y + dy_lo:y + dy_hi + h, x + dx_lo:x + dx_hi + w]
-        d = _windows(region, h, w) - b.cur_rows[i].reshape(-1, h, w)
-        sse = np.einsum("ijchw,ijchw->ij", d, d, dtype=np.int64).astype(np.float64)
-        dxs, dys = np.meshgrid(np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1))
-        table = b.sse[i, dy_lo + b.r:dy_hi + b.r + 1, dx_lo + b.r:dx_hi + b.r + 1]
-        b.stats.psnr_evals += int(np.isnan(table).sum())
-        table[...] = sse
-        order = np.lexsort((dxs.ravel(), dys.ravel(),
-                            (np.abs(dxs) + np.abs(dys)).ravel(), sse.ravel()))
-        j = int(order[0])
-        out[i] = (dxs.ravel()[j], dys.ravel()[j])
-    return out
+    # The full square of offsets, one block at a time, so one gather holds
+    # at most one block's (2r+1)^2 windows.
+    side = np.arange(-b.r, b.r + 1)
+    square = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    center = np.zeros((1, 2), dtype=np.int64)
+    return np.concatenate([b.best(np.array([i]), center, square) for i in range(b.n)])
 
 
 SEARCH_STRATEGIES = {
@@ -294,16 +280,6 @@ SEARCH_STRATEGIES = {
     "three-step": _three_step_search,
     "exhaustive": _exhaustive_search,
 }
-
-
-def _search_blocks(cur16, ref16, blocks, cfg, stats) -> tuple[list[BlockMatch], np.ndarray]:
-    """Step 2 for a list of equal-sized blocks: their matches and the SSE table."""
-    batch = _BlockBatch(cur16, ref16, np.array([blk.x for blk in blocks]),
-                        np.array([blk.y for blk in blocks]), blocks[0].h, blocks[0].w,
-                        cfg, stats)
-    offsets, best = batch.search()
-    return [BlockMatch(blk, (dx, dy), psnr_from_sse(v, batch.count))
-            for blk, (dx, dy), v in zip(blocks, offsets.tolist(), best.tolist())], batch.sse
 
 
 def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> BlockMatch:
@@ -316,9 +292,12 @@ def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> Blo
         raise ValueError("cur and ref must have identical dimensions")
     if not Rect(0, 0, cur.width, cur.height).contains(block) or block.is_empty:
         raise ValueError(f"block {block} outside frame")
-    matches, _ = _search_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
-                                [block], cfg, MatchStats())
-    return matches[0]
+    batch = _BlockBatch(cur.data.astype(np.int16), ref.data.astype(np.int16),
+                        np.array([block.x]), np.array([block.y]), block.h, block.w,
+                        cfg, MatchStats())
+    offsets, sse = batch.search()
+    dx, dy = offsets[0].tolist()
+    return BlockMatch(block, (dx, dy), psnr_from_sse(float(sse[0]), batch.count))
 
 
 def _mean_motion(offsets: list[tuple[int, int]]) -> tuple[int, int]:
@@ -444,10 +423,9 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
     With a prior (an earlier searched MatchResult), first verify and merge
     at prior.global_motion alone; keep that result, with stats.searches
     == 0, if its match_ratio is at least PRIOR_KEEP * prior.match_ratio.
-    Otherwise run the full pipeline, whose result then equals that of a
-    call without prior; only its psnr_evals differ, since SSEs the
-    verification scored are not scored again.  A prior whose match_ratio
-    is below PRIOR_MIN is not tried.
+    Otherwise run the pipeline of a call without prior, whose result it
+    returns; its psnr_evals then add the verification's to that call's.
+    A prior whose match_ratio is below PRIOR_MIN is not tried.
     """
     cfg = cfg or MatcherConfig()
     if cur.data.shape != ref.data.shape:
@@ -472,25 +450,18 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
             stats=stats,
         )
 
-    sse = np.full(rows * cols, np.nan)
-    predicted_at = (prior.global_motion if prior is not None and prior.match_ratio >= PRIOR_MIN
-                    else None)
-    if predicted_at is not None:
-        predicted = finish(predicted_at, sse)
+    if prior is not None and prior.match_ratio >= PRIOR_MIN:
+        predicted = finish(prior.global_motion, np.full(rows * cols, np.nan))
         if predicted.match_ratio >= PRIOR_KEEP * prior.match_ratio:
             return predicted
 
     searched = np.flatnonzero((row % k == 0) & (col % k == 0))
     batch = _BlockBatch(cur16, ref16, bx[searched], by[searched], bs, bs, cfg, stats)
-    r = batch.r
-    if predicted_at is not None and max(map(abs, predicted_at)) <= r:
-        batch.sse[:, predicted_at[1] + r, predicted_at[0] + r] = sse[searched]
     offsets, best = batch.search()
     stats.searches += batch.n
 
     motion = _mean_motion([o for o, v in zip(offsets.tolist(), best.tolist())
                            if psnr_from_sse(v, batch.count) > cfg.threshold_t])
-    if motion != predicted_at:
-        sse = np.full(rows * cols, np.nan)
-    sse[searched] = batch.sse[:, motion[1] + r, motion[0] + r]
+    sse = np.full(rows * cols, np.nan)
+    sse[searched] = batch.sse[:, motion[1] + batch.r, motion[0] + batch.r]
     return finish(motion, sse)

@@ -146,11 +146,13 @@ def psnr_ref(a, b):
 def exhaustive_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_range):
     """Scan every in-bounds offset; ties by (|dx|+|dy|, dy, dx).
 
-    cur/ref are (C, H, W) uint8 arrays.  Returns (dx, dy, sse).
+    cur/ref are (C, H, W) uint8 arrays.  Returns (dx, dy, sse, set of
+    distinct (dx, dy) offsets scored).
     """
     _, h, w = ref.shape
     cblk = cur[:, block_y:block_y + block_h, block_x:block_x + block_w]
     best = None
+    scored = set()
     for dy in range(-search_range, search_range + 1):
         for dx in range(-search_range, search_range + 1):
             x = block_x + dx
@@ -158,11 +160,12 @@ def exhaustive_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_r
             if x < 0 or y < 0 or x + block_w > w or y + block_h > h:
                 continue
             sse = sse_int(cblk, ref[:, y:y + block_h, x:x + block_w])
+            scored.add((dx, dy))
             key = (sse, abs(dx) + abs(dy), dy, dx)
             if best is None or key < best:
                 best = key
                 best_off = (dx, dy, sse)
-    return best_off
+    return (*best_off, scored)
 
 
 def diamond_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_range):

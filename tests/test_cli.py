@@ -124,6 +124,21 @@ class TestRunCommand:
         assert 0.0 < summary["computed_macs_fraction"] <= 1.0
         assert summary["total_copied_pixels"] > 0
 
+    def test_small_output_is_ranked(self, moving_dir, tmp_path):
+        # an output of fewer than five entries is listed largest first too
+        model = tmp_path / "tiny.txt"
+        model.write_text("input 1 32 32\nf1 fc out=3 in=data out=out\n")
+        weights = tmp_path / "tiny.bin"
+        weights.write_bytes(np.concatenate([np.zeros(3 * 32 * 32),
+                                            [0.1, 0.7, 0.2]]).astype("<f4").tobytes())
+        out = tmp_path / "tiny.csv"
+        rc = main(["run", *engine_args((model, weights), moving_dir), "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        for r in rows:
+            assert r[7] == "1;2;0"
+            assert r[8] == "0.7;0.2;0.1"
+
     def test_no_cache_runs_everything(self, model_files, moving_dir, tmp_path):
         out = tmp_path / "plain.csv"
         rc = main(["run", *engine_args(model_files, moving_dir),

@@ -12,7 +12,7 @@ from framecache import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, Frame, MatcherC
                         partition_grid, psnr, verify_blocks)
 from framecache.synth import synth_sequence
 
-from framecache.matching import PRIOR_KEEP, PRIOR_MIN, _search_blocks
+from framecache.matching import PRIOR_KEEP, PRIOR_MIN, _BlockBatch, psnr_from_sse
 from reference import (diamond_search_ref, exhaustive_search_ref, merge_blocks_ref,
                        psnr_ref, three_step_search_ref)
 
@@ -105,7 +105,7 @@ class TestBlockSearch:
             ref = noise_frame(seed + 50)
             for bx, by in ((0, 0), (8, 8), (16, 16)):
                 m = block_search(cur, ref, Rect(bx, by, 8, 8), cfg)
-                dx, dy, sse = exhaustive_search_ref(cur.data, ref.data, bx, by, 8, 8, 5)
+                dx, dy, _, _ = exhaustive_search_ref(cur.data, ref.data, bx, by, 8, 8, 5)
                 assert m.offset == (dx, dy)
 
     def test_diamond_never_worse_than_zero_offset(self):
@@ -136,10 +136,13 @@ class TestBlockSearch:
             m = block_search(cur, ref, Rect(20, 20, 10, 10), cfg)
             assert m.offset == (dx, dy), (dx, dy, m.offset)
 
-    def test_lockstep_diamond_equals_serial_reference(self):
+    @pytest.mark.parametrize("strategy", ["diamond", "three-step", "exhaustive"])
+    def test_lockstep_search_equals_serial_reference(self, strategy):
         # every block of a grid searched at once must follow its own serial
-        # trajectory: same offset, same PSNR, same number of SSE evaluations
-        cfg = MatcherConfig(block_size=8, strategy="diamond", search_range=6)
+        # trajectory: same offset, same PSNR, same SSEs scored, each once
+        search_ref = {"diamond": diamond_search_ref, "three-step": three_step_search_ref,
+                      "exhaustive": exhaustive_search_ref}[strategy]
+        cfg = MatcherConfig(block_size=8, strategy=strategy, search_range=6)
         pairs = [(noise_frame(s, channels=3, h=40, w=48),
                   noise_frame(s + 70, channels=3, h=40, w=48)) for s in range(3)]
         pairs += [texture_pair(dx, dy, seed=5, w=48, h=40, noise=0.05)
@@ -148,20 +151,30 @@ class TestBlockSearch:
         rng = np.random.default_rng(8)
         pairs += [tuple(Frame(rng.integers(0, 2, size=(1, 40, 48), dtype=np.uint8))
                         for _ in range(2)) for _ in range(3)]
+        # diagonal stripes: every offset with dx + dy = 3 is an exact match
+        stripes = rng.integers(0, 2, size=100, dtype=np.uint8)[
+            np.add.outer(np.arange(41), np.arange(50))][None]
+        pairs += [(Frame(stripes[:, :40, :48]), Frame(stripes[:, 1:41, 2:50]))]
         for ref, cur in pairs:
             grid = partition_grid(cur.width, cur.height, 8)
             stats = MatchStats()
-            matches, _ = _search_blocks(cur.data.astype(np.int16), ref.data.astype(np.int16),
-                                        grid, cfg, stats)
+            batch = _BlockBatch(cur.data.astype(np.int16), ref.data.astype(np.int16),
+                                np.array([b.x for b in grid]), np.array([b.y for b in grid]),
+                                8, 8, cfg, stats)
+            offsets, best = batch.search()
             evals = 0
-            for block, m in zip(grid, matches):
-                dx, dy, sse, scored = diamond_search_ref(
+            for i, block in enumerate(grid):
+                dx, dy, sse, scored = search_ref(
                     cur.data, ref.data, block.x, block.y, 8, 8, 6)
-                assert m.offset == (dx, dy)
-                assert m.psnr == pytest.approx(psnr_ref(
+                assert tuple(offsets[i].tolist()) == (dx, dy)
+                assert best[i] == sse
+                assert psnr_from_sse(best[i], batch.count) == pytest.approx(psnr_ref(
                     cur.data[:, block.y:block.y2, block.x:block.x2],
                     ref.data[:, block.y + dy:block.y2 + dy, block.x + dx:block.x2 + dx]),
                     rel=1e-12)
+                in_table = {(ox - batch.r, oy - batch.r)
+                            for oy, ox in zip(*np.nonzero(~np.isnan(batch.sse[i])))}
+                assert in_table == scored
                 evals += len(scored)
             assert stats.psnr_evals == evals
 
@@ -439,22 +452,6 @@ def scene_pair(kind, seed, w=48, h=40):
     return noise_frame(seed, channels=3, h=h, w=w), noise_frame(seed + 1, channels=3, h=h, w=w)
 
 
-def scored_by_search(cur, ref, cfg, blocks) -> set:
-    """Every (x, y, dx, dy) the serial reference searches score for blocks."""
-    scored = set()
-    for b in blocks:
-        if cfg.strategy == "exhaustive":
-            offsets = {(dx, dy) for dy in range(-cfg.search_range, cfg.search_range + 1)
-                       for dx in range(-cfg.search_range, cfg.search_range + 1)
-                       if 0 <= b.x + dx <= cur.width - b.w and 0 <= b.y + dy <= cur.height - b.h}
-        else:
-            ref_search = (diamond_search_ref if cfg.strategy == "diamond"
-                          else three_step_search_ref)
-            *_, offsets = ref_search(cur.data, ref.data, b.x, b.y, b.w, b.h, cfg.search_range)
-        scored |= {(b.x, b.y, dx, dy) for dx, dy in offsets}
-    return scored
-
-
 class TestPrior:
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(("pan", "clean", "cut", "noise")),
@@ -467,8 +464,9 @@ class TestPrior:
                                                 seed, motion, ratio):
         # A prior either yields the verify-and-merge result at its motion,
         # unsearched and covering at least PRIOR_KEEP of the prior, or the
-        # result of a call without prior, with every SSE scored once.  A
-        # prior that covered less than PRIOR_MIN is not tried.
+        # result of a call without prior, at the cost of that call plus the
+        # verification of the prediction, if one was tried.  A prior that
+        # covered less than PRIOR_MIN is not tried.
         ref, cur = scene_pair(kind, seed)
         cfg = MatcherConfig(block_size=8, skip_k=k, search_range=search_range,
                             strategy=strategy)
@@ -497,13 +495,8 @@ class TestPrior:
                      res.matched_block_count, res.stats.searches)
                     == (plain.mappings, plain.global_motion, plain.match_ratio,
                         plain.matched_block_count, plain.stats.searches))
-            cols = cur.width // 8
-            searched = [b for i, b in enumerate(grid)
-                        if (i // cols) % k == 0 and (i % cols) % k == 0]
-            tried = at(*p) if ratio >= PRIOR_MIN else set()
-            scored = (scored_by_search(cur, ref, cfg, searched) | tried
-                      | at(*plain.global_motion))
-            assert res.stats.psnr_evals == len(scored)
+            tried = len(at(*p)) if ratio >= PRIOR_MIN else 0
+            assert res.stats.psnr_evals == tried + plain.stats.psnr_evals
 
     def test_pan_prediction_is_kept_and_equals_the_search(self):
         ref, cur = texture_pair(2, 1, seed=4, w=100, h=80, noise=0.02)
