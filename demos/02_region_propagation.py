@@ -2,7 +2,8 @@
 
 A matched region is only reusable at a layer's output where every value's
 receptive field lies inside the region, so windowed layers erode it,
-elementwise layers pass it through, and fully-connected layers destroy it.
+layers that read one position across channels (elementwise, lrn, softmax)
+pass it through, and fully-connected layers destroy it.
 
     python3 demos/02_region_propagation.py
 """
@@ -12,15 +13,12 @@ from framecache import (LayerGeom, LayerType, Rect, RegionMapping,
 
 STACK = [
     ("conv 11x11, stride 2, pad 5",
-     LayerGeom(LayerType.CONVOLUTION, kernel=11, stride=2, pad=5), (113, 113)),
-    ("relu",
-     LayerGeom(LayerType.ELEMENTWISE), (113, 113)),
+     LayerGeom(LayerType.CONVOLUTION, kernel=11, stride=2, pad=5)),
+    ("relu", LayerGeom(LayerType.ELEMENTWISE)),
     ("pool 3x3, stride 2, pad 1",
-     LayerGeom(LayerType.POOLING, kernel=3, stride=2, pad=1), (57, 57)),
-    ("lrn radius 2",
-     LayerGeom(LayerType.LRN, radius=2), (57, 57)),
-    ("fully connected",
-     LayerGeom(LayerType.FULLY_CONNECTED), (1, 1)),
+     LayerGeom(LayerType.POOLING, kernel=3, stride=2, pad=1)),
+    ("lrn radius 2 (channels)", LayerGeom(LayerType.LRN, radius=2)),
+    ("fully connected", LayerGeom(LayerType.FULLY_CONNECTED)),
 ]
 
 
@@ -31,8 +29,8 @@ def fmt(r: Rect) -> str:
 def main():
     region = Rect(100, 100, 100, 40)
     print(f"matched input region: {fmt(region)}  [{region.area} px]")
-    for label, geom, (out_w, out_h) in STACK:
-        region = transform_region(region, geom, out_w=out_w, out_h=out_h)
+    for label, geom in STACK:
+        region = transform_region(region, geom)
         print(f"  after {label:28s} -> {fmt(region)}")
 
     print("\nA full mapping (destination + source) moves the same way:")
@@ -40,7 +38,7 @@ def main():
                             src=Rect(120, 120, 100, 40))
     print(f"  input: copy {fmt(mapping.dst)} from {fmt(mapping.src)}")
     geom = LayerGeom(LayerType.CONVOLUTION, kernel=11, stride=2, pad=5)
-    out = propagate_mappings([mapping], geom, out_w=113, out_h=113)
+    out = propagate_mappings([mapping], geom)
     for m in out:
         print(f"  conv output: copy {fmt(m.dst)} from {fmt(m.src)}")
 

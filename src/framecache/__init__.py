@@ -6,8 +6,7 @@ makes each convolution copy its previously computed values for those parts
 instead of recomputing them.
 """
 
-from .core import (EMPTY_RECT, FeatureMap, Frame, Rect, RegionMapping,
-                   rect_clip, rect_intersect)
+from .core import EMPTY_RECT, FeatureMap, Frame, Rect, RegionMapping, rect_intersect
 from .matching import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, MatcherConfig,
                        MatchResult, MatchStats, block_search,
                        estimate_global_motion, match_frames, merge_blocks,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Rect", "EMPTY_RECT", "RegionMapping", "Frame", "FeatureMap",
-    "rect_intersect", "rect_clip",
+    "rect_intersect",
     "MatcherConfig", "BlockMatch", "MatchResult", "MatchStats",
     "PSNR_MAX", "SEARCH_STRATEGIES", "partition_grid", "psnr",
     "block_search", "estimate_global_motion", "verify_blocks", "merge_blocks",

@@ -77,13 +77,6 @@ def rect_intersect(a: Rect, b: Rect) -> Rect:
     return Rect(x1, y1, x2 - x1, y2 - y1)
 
 
-def rect_clip(r: Rect, bounds_w: int, bounds_h: int) -> Rect:
-    """Clip r to the window (0, 0, bounds_w, bounds_h)."""
-    if bounds_w < 0 or bounds_h < 0:
-        raise ValueError("negative bounds")
-    return rect_intersect(r, Rect(0, 0, bounds_w, bounds_h))
-
-
 @dataclass(frozen=True)
 class RegionMapping:
     """A reusable region: dst in the current frame maps to src in the previous.

@@ -680,13 +680,11 @@ class Session:
         per_layer = []
         conv_outputs = {}
         for spec in self.graph.layers:
-            _, out_h, out_w = self.graph.blob_dims[spec.out_blob]
             inputs = [blobs[b] for b in spec.in_blobs]
             if spec.op == "concat":
                 out_maps = concat_mappings([blob_maps[b] for b in spec.in_blobs])
             else:
-                out_maps = propagate_mappings(blob_maps[spec.in_blobs[0]], spec.geom,
-                                              out_w, out_h)
+                out_maps = propagate_mappings(blob_maps[spec.in_blobs[0]], spec.geom)
             if spec.op != "conv":
                 out = OPS[spec.op].forward(spec, inputs)
             else:

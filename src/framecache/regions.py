@@ -1,16 +1,17 @@
 """Propagation of reusable regions through network layers.
 
-A rectangle that is valid for reuse in a layer's input shrinks (or survives,
-or dies) on the way to that layer's output, depending on the layer type.
-Windowed layers (convolution, pooling) keep only output pixels whose entire
-input window lies inside the rectangle; cross-channel normalization erodes
-the rectangle by its half-window on each side; elementwise layers pass it
-through untouched; fully connected layers and softmax mix every input into
-every output, so nothing survives; concatenation keeps the area reusable in
-every input branch.
+One rule serves every layer: an output value is reusable exactly when
+every input value it reads lies inside the reusable input rectangle.
+Windowed layers (convolution, pooling) therefore keep the outputs whose
+whole window lies inside the rectangle, which never reads padding;
+pointwise layers (cross-channel normalization, softmax and elementwise
+ops) read one spatial position across channels, so the rectangle passes
+through; fully connected layers read every input, so nothing survives;
+concatenation keeps the area reusable in every input branch.
 
 Source and destination rectangles of a mapping transform with identical
-geometry, so equal sizes in imply equal sizes out (clipping aside).
+geometry, so they keep equal sizes whenever their offset is a multiple of
+the layer's stride.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import EMPTY_RECT, Rect, RegionMapping, rect_clip, rect_intersect
+from .core import EMPTY_RECT, Rect, RegionMapping, rect_intersect
 
 
 class LayerType(enum.Enum):
@@ -33,8 +34,8 @@ class LayerType(enum.Enum):
 
 # Layer types whose output rectangle is computed from a sliding input window.
 _WINDOWED = (LayerType.CONVOLUTION, LayerType.POOLING)
-# Layer types where every output element depends on every input element.
-_GLOBAL = (LayerType.FULLY_CONNECTED, LayerType.SOFTMAX)
+# Layer types whose every output reads only its own spatial position.
+_POINTWISE = (LayerType.LRN, LayerType.SOFTMAX, LayerType.ELEMENTWISE)
 
 
 @dataclass(frozen=True)
@@ -59,69 +60,50 @@ class LayerGeom:
             raise ValueError("radius must be >= 0")
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def _window_span(start: int, size: int, k: int, s: int, p: int) -> tuple[int, int]:
+    """First output index and count of the windows inside [start, start + size).
+
+    Output i reads inputs [i*s - p, i*s - p + k), so the windows inside are
+    those with ceil((start + p) / s) <= i <= floor((start + size + p - k) / s).
+    """
+    first = -(-(start + p) // s)
+    return first, max(0, (start + size + p - k) // s - first + 1)
 
 
-def transform_region(rect: Rect, geom: LayerGeom,
-                     out_w: int | None = None, out_h: int | None = None) -> Rect:
+def transform_region(rect: Rect, geom: LayerGeom) -> Rect:
     """Map an input-plane rectangle to the output-plane rectangle whose
-    values depend only on pixels inside it.
+    values read only pixels inside it.
 
-    For conv/pool the first surviving output column is the first whose
-    window starts at or after the rectangle's left edge in padded
-    coordinates, ceil((x + p) / s); the surviving width counts the windows
-    that fit fully inside, floor((w - k) / s) + 1.  A rectangle narrower
-    than the kernel dies.  LRN insets by its radius, fully connected and
-    softmax destroy reusability, elementwise types are the identity.
-
-    Pass out_w/out_h to clip the result to the output plane; padding can
-    otherwise admit window positions past the plane's edge.  Concat is not
-    handled here (see concat_mappings).
+    A rectangle inside the input plane maps inside the output plane, since
+    no window inside it reaches the padding.  Concat is not handled here
+    (see concat_mappings).
     """
     if rect.is_empty:
         return EMPTY_RECT
-
     t = geom.layer_type
     if t in _WINDOWED:
-        k, s, p = geom.kernel, geom.stride, geom.pad
-        if rect.w < k or rect.h < k:
-            return EMPTY_RECT
-        out = Rect(
-            _ceil_div(rect.x + p, s),
-            _ceil_div(rect.y + p, s),
-            (rect.w - k) // s + 1,
-            (rect.h - k) // s + 1,
-        )
-    elif t is LayerType.LRN:
-        r = geom.radius
-        if rect.w <= 2 * r or rect.h <= 2 * r:
-            return EMPTY_RECT
-        out = Rect(rect.x + r, rect.y + r, rect.w - 2 * r, rect.h - 2 * r)
-    elif t in _GLOBAL:
+        x, w = _window_span(rect.x, rect.w, geom.kernel, geom.stride, geom.pad)
+        y, h = _window_span(rect.y, rect.h, geom.kernel, geom.stride, geom.pad)
+        return Rect(x, y, w, h) if w and h else EMPTY_RECT
+    if t in _POINTWISE:
+        return rect
+    if t is LayerType.FULLY_CONNECTED:
         return EMPTY_RECT
-    elif t is LayerType.ELEMENTWISE:
-        out = rect
-    else:
-        raise ValueError(f"transform_region does not handle {t}")
-
-    if out_w is not None and out_h is not None:
-        out = rect_clip(out, out_w, out_h)
-    return out
+    raise ValueError(f"transform_region does not handle {t}")
 
 
-def transform_mapping(m: RegionMapping, geom: LayerGeom,
-                      out_w: int | None = None, out_h: int | None = None) -> RegionMapping | None:
+def transform_mapping(m: RegionMapping, geom: LayerGeom) -> RegionMapping | None:
     """Transform both sides of a mapping through one layer; None if it dies.
 
-    Clipping can trim dst and src asymmetrically (one near the plane edge,
-    the other interior).  The two sides must stay congruent, so both are
-    shrunk to the common minimum width/height, anchored at their left-top
-    corners (clipping never moves a left-top corner since transformed
-    coordinates are non-negative).
+    Each dst output is paired with the src output at the same place in
+    its rectangle.  Their windows are the same input pixels moved by the
+    offset only when the offset is a multiple of the stride; otherwise the
+    copies are approximations, and the two sides may differ in size (they
+    differ only then).  Both are shrunk to the common minimum width/height,
+    anchored at their left-top corners.
     """
-    dst = transform_region(m.dst, geom, out_w, out_h)
-    src = transform_region(m.src, geom, out_w, out_h)
+    dst = transform_region(m.dst, geom)
+    src = transform_region(m.src, geom)
     if dst.is_empty or src.is_empty:
         return None
     w = min(dst.w, src.w)
@@ -129,25 +111,14 @@ def transform_mapping(m: RegionMapping, geom: LayerGeom,
     return RegionMapping(dst=Rect(dst.x, dst.y, w, h), src=Rect(src.x, src.y, w, h))
 
 
-def propagate_mappings(mappings: list[RegionMapping], geom: LayerGeom,
-                       out_w: int, out_h: int) -> list[RegionMapping]:
+def propagate_mappings(mappings: list[RegionMapping], geom: LayerGeom) -> list[RegionMapping]:
     """Transform a mapping list through one layer, dropping casualties.
 
-    Output dst rectangles stay pairwise disjoint.  For the supported
-    geometries an output pixel's window fits inside at most one disjoint
-    input rectangle, so overlap cannot actually arise; the trim pass that
-    drops a mapping whose dst overlaps an earlier one is a guard against
-    rounding corner cases, not an expected path.
+    Disjoint dst rectangles stay disjoint: an output's input window lies
+    inside at most one of them.
     """
-    out: list[RegionMapping] = []
-    for m in mappings:
-        t = transform_mapping(m, geom, out_w, out_h)
-        if t is None:
-            continue
-        if any(not rect_intersect(t.dst, kept.dst).is_empty for kept in out):
-            continue
-        out.append(t)
-    return out
+    out = (transform_mapping(m, geom) for m in mappings)
+    return [m for m in out if m is not None]
 
 
 def concat_mappings(per_input: list[list[RegionMapping]]) -> list[RegionMapping]:

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from framecache import (EMPTY_RECT, FeatureMap, Frame, Rect, RegionMapping,
-                        rect_clip, rect_intersect)
+from framecache import EMPTY_RECT, FeatureMap, Frame, Rect, RegionMapping, rect_intersect
 
 rects = st.builds(Rect,
                   st.integers(-50, 50), st.integers(-50, 50),
@@ -77,28 +76,6 @@ class TestIntersect:
         out = rect_intersect(a, b)
         if not out.is_empty:
             assert a.contains(out) and b.contains(out)
-
-
-class TestClip:
-    def test_clip_examples(self):
-        assert rect_clip(Rect(-2, -2, 5, 5), 10, 10) == Rect(0, 0, 3, 3)
-        assert rect_clip(Rect(8, 8, 5, 5), 10, 10) == Rect(8, 8, 2, 2)
-        assert rect_clip(Rect(0, 0, 3, 3), 10, 10) == Rect(0, 0, 3, 3)
-
-    def test_negative_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            rect_clip(Rect(0, 0, 1, 1), -1, 5)
-
-    @given(rects, st.integers(0, 80), st.integers(0, 80))
-    def test_contained_in_rect_and_bounds(self, r, bw, bh):
-        out = rect_clip(r, bw, bh)
-        if not out.is_empty:
-            assert r.contains(out)
-            assert Rect(0, 0, bw, bh).contains(out)
-
-    @given(rects, st.integers(0, 80), st.integers(0, 80))
-    def test_equals_intersect_with_bounds(self, r, bw, bh):
-        assert rect_clip(r, bw, bh) == rect_intersect(r, Rect(0, 0, bw, bh))
 
 
 class TestRegionMapping:

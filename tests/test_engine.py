@@ -14,7 +14,7 @@ from framecache import (FeatureMap, Frame, LayerGeom, LayerSpec, LayerType,
                         load_weights, lrn_forward, parse_model, pool_forward,
                         preprocess, random_weights, relu_forward,
                         softmax_forward, synth_sequence)
-from framecache.matching import PRIOR_MIN
+from framecache.matching import PRIOR_MIN, PSNR_MAX
 
 import reference
 
@@ -1024,3 +1024,113 @@ class TestSession:
                 seen.append(sess.last_match)
         assert len(seen) == 2 and seen[0] is not seen[1]
         assert sess.last_match is None
+
+
+
+def exact_cfg(**kw) -> MatcherConfig:
+    """A matcher that reuses only bit-identical blocks."""
+    return MatcherConfig(threshold_t=PSNR_MAX - 1, **kw)
+
+
+@st.composite
+def aligned_cases(draw):
+    """A random small graph of conv, pool, lrn, elementwise and same-dims
+    concat layers on a 48x48 RGB input, ending in a conv; a per-frame
+    motion that is a multiple of the product of its strides; a seed."""
+    c, side, stride = 3, 48, 1
+    lines, blob = [f"input {c} {side} {side}"], "data"
+
+    def same_dims(name, src, kind):
+        """A layer that keeps the spatial dims, and its output channels."""
+        if kind == "conv":
+            k, out_ch = draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 3))
+            return f"{name} conv k={k} p={k // 2} out_ch={out_ch} in={src} out={name}", out_ch
+        params = {"lrn": f"r={draw(st.integers(1, 2))}", "relu": "",
+                  "scale": "factor=0.5", "bias": "value=-0.25"}[kind]
+        return f"{name} {kind} {params} in={src} out={name}", c
+
+    branch = st.sampled_from(["conv", "lrn", "relu", "scale", "bias"])
+    for i in range(draw(st.integers(1, 5))):
+        name = f"l{i}"
+        kind = draw(st.sampled_from(["conv", "pool", "lrn", "relu", "scale", "bias", "concat"]))
+        if kind in ("conv", "pool"):
+            k, s = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+            # a pool window of padding alone would hold -inf or 0
+            p = draw(st.integers(0, 2 if kind == "conv" else min(2, k - 1)))
+            k = min(k, side + 2 * p)
+            if kind == "conv":
+                c = draw(st.integers(1, 4))
+                lines.append(f"{name} conv k={k} s={s} p={p} out_ch={c} in={blob} out={name}")
+            else:
+                mode = draw(st.sampled_from(["max", "avg"]))
+                lines.append(f"{name} pool k={k} s={s} p={p} mode={mode} in={blob} out={name}")
+            side = (side + 2 * p - k) // s + 1
+            stride *= s
+        elif kind == "concat":
+            a, ca = same_dims(f"{name}a", blob, draw(branch))
+            b, cb = same_dims(f"{name}b", blob, draw(branch))
+            lines += [a, b, f"{name} concat in={name}a,{name}b out={name}"]
+            c = ca + cb
+        else:
+            line, c = same_dims(name, blob, kind)
+            lines.append(line)
+        blob = name
+    lines.append(f"last conv k=3 p=1 out_ch=2 in={blob} out=last")
+    steps = st.integers(-(16 // stride), 16 // stride)
+    motion = (draw(steps) * stride, draw(steps) * stride)
+    return "\n".join(lines) + "\n", motion, draw(st.integers(0, 2 ** 16))
+
+
+class TestExactReuse:
+    """Copies are bit-identical to computed values when the matched input
+    is exact and the motion is a multiple of every stride on the way."""
+
+    def test_zero_motion_copies_only_windows_inside_the_match(self):
+        # Frame 2 changes columns 0-9 and 30-31 of a gray frame, so the
+        # matcher maps columns 10-29 onto themselves.  Of conv k=11 s=4's
+        # outputs, columns 3 and 4 read only those; column 5 reads 20-30.
+        text = "input 1 40 40\nc1 conv k=11 s=4 out_ch=4 in=data out=b1\n"
+        gray = np.full((1, 40, 40), 100, dtype=np.uint8)
+        changed = gray.copy()
+        changed[:, :, 0:10] = changed[:, :, 30:32] = 155
+        cached = make_session(text, matcher_cfg=exact_cfg(block_size=10))
+        plain = make_session(text, cache_enabled=False)
+        for f in (Frame(gray), Frame(changed)):
+            out_c, metrics = cached.run_frame(f)
+            out_p, _ = plain.run_frame(f)
+        stay = Rect(10, 0, 20, 40)
+        assert cached.last_match.mappings == [RegionMapping(dst=stay, src=stay)]
+        assert metrics.copied_pixels == 4 * 2 * 8
+        assert np.array_equal(bits(out_c.data), bits(out_p.data))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stride_aligned_pan_copies_exactly(self, seed):
+        # (32, 16) px per frame is a whole number of strides at every conv
+        # of the benchmark's conv stack; only the moving square matches.
+        kw = dict(mean=(123.68, 116.78, 103.94), scale=0.017)
+        cached = make_session(BENCH_CONV_STACK, seed, matcher_cfg=exact_cfg(), **kw)
+        plain = make_session(BENCH_CONV_STACK, seed, cache_enabled=False, **kw)
+        copied = 0
+        for f in synth_sequence(3, 227, 227, dx=32, dy=16, seed=seed, square=True):
+            out_c, metrics = cached.run_frame(f)
+            out_p, _ = plain.run_frame(f)
+            copied += metrics.copied_pixels
+            assert np.array_equal(bits(out_c.data), bits(out_p.data))
+        assert copied > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(aligned_cases())
+    def test_aligned_translation_copies_exactly(self, case):
+        # Every conv output, copied or computed, equals a flush's bitwise.
+        text, (dx, dy), seed = case
+        graph = parse_model(text)
+        load_weights(random_weights(graph, seed), graph)
+        cfg = exact_cfg(block_size=8, skip_k=1, strategy="exhaustive")
+        cached = Session(graph, cfg)
+        plain = Session(graph, cfg, expire_n=1)
+        for f in synth_sequence(3, 48, 48, dx=dx, dy=dy, seed=seed, square=True):
+            out_c, _ = cached.run_frame(f)
+            out_p, _ = plain.run_frame(f)
+            assert np.array_equal(bits(out_c.data), bits(out_p.data))
+            for name, want in plain.cache.conv_outputs.items():
+                assert np.array_equal(bits(cached.cache.conv_outputs[name].data), bits(want.data))

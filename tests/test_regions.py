@@ -3,14 +3,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from framecache import (EMPTY_RECT, LayerGeom, LayerType, Rect, RegionMapping,
-                        concat_mappings, propagate_mappings, transform_mapping,
-                        transform_region)
+                        concat_mappings, propagate_mappings, rect_intersect,
+                        transform_mapping, transform_region)
 
 from reference import window_columns
 
 CONV_11_2_5 = LayerGeom(LayerType.CONVOLUTION, kernel=11, stride=2, pad=5)
 POOL_3_2_1 = LayerGeom(LayerType.POOLING, kernel=3, stride=2, pad=1)
 RELU = LayerGeom(LayerType.ELEMENTWISE)
+WINDOWED = (LayerType.CONVOLUTION, LayerType.POOLING)
 
 
 class TestWindowedTransform:
@@ -46,32 +47,19 @@ class TestWindowedTransform:
     def test_empty_in_empty_out(self):
         assert transform_region(EMPTY_RECT, CONV_11_2_5) == EMPTY_RECT
 
-    def test_clip_to_output_plane(self):
-        geom = LayerGeom(LayerType.CONVOLUTION, kernel=3, stride=1, pad=2)
-        # unclipped right edge passes the 8-wide output plane
-        out = transform_region(Rect(2, 2, 8, 8), geom, out_w=8, out_h=8)
-        unclipped = transform_region(Rect(2, 2, 8, 8), geom)
-        assert unclipped == Rect(4, 4, 6, 6)
-        assert out == Rect(4, 4, 4, 4)
-
-    @given(st.integers(0, 40), st.integers(1, 40),
-           st.integers(1, 7), st.integers(1, 4), st.integers(0, 5))
-    def test_aligned_matches_window_oracle(self, xq, w, k, s, p):
-        # at stride-aligned offsets the formula equals the brute-force set
-        # of output columns whose windows fit fully inside the region
-        x = xq * s - p
-        if x < 0:
-            x += s * ((p + s - 1) // s + 1)
+    @given(st.integers(0, 40), st.integers(1, 40), st.integers(0, 10), st.integers(1, 7),
+           st.integers(1, 4), st.integers(0, 5), st.sampled_from(list(WINDOWED)))
+    def test_matches_window_oracle(self, x, w, margin, k, s, p, layer_type):
+        # the output rect is exactly the brute-force set of output columns
+        # whose windows fit fully inside the region, at any offset, and
+        # lies inside the output plane of any input plane holding the region
         rect = Rect(x, x, w, w)
-        geom = LayerGeom(LayerType.CONVOLUTION, kernel=k, stride=s, pad=p)
-        out = transform_region(rect, geom)
+        out = transform_region(rect, LayerGeom(layer_type, kernel=k, stride=s, pad=p))
         cols = window_columns(rect.x, rect.w, k, s, p)
-        if out.is_empty:
-            assert cols == [] or w < k
-        else:
-            assert out.x == cols[0]
-            assert out.x + out.w - 1 == cols[-1]
-            assert out.w == len(cols)
+        assert list(range(out.x, out.x2)) == cols
+        if not out.is_empty:
+            assert (out.y, out.h) == (out.x, out.w)
+            assert out.x2 <= (rect.x2 + margin + 2 * p - k) // s + 1
 
     @given(st.integers(0, 60), st.integers(0, 60), st.integers(1, 50), st.integers(1, 50),
            st.integers(1, 7), st.integers(0, 5))
@@ -87,21 +75,23 @@ class TestWindowedTransform:
 
 
 class TestOtherTransforms:
-    def test_lrn_inset(self):
+    def test_lrn_passes_through(self):
+        # lrn mixes channels at one (y, x), so its radius erodes nothing
         geom = LayerGeom(LayerType.LRN, radius=2)
-        assert transform_region(Rect(10, 10, 10, 8), geom) == Rect(12, 12, 6, 4)
+        assert transform_region(Rect(10, 10, 10, 8), geom) == Rect(10, 10, 10, 8)
 
-    def test_lrn_collapses(self):
+    def test_lrn_keeps_a_thin_rect(self):
         geom = LayerGeom(LayerType.LRN, radius=3)
-        assert transform_region(Rect(0, 0, 6, 20), geom) == EMPTY_RECT
+        assert transform_region(Rect(0, 0, 6, 20), geom) == Rect(0, 0, 6, 20)
 
     def test_fully_connected_destroys(self):
         geom = LayerGeom(LayerType.FULLY_CONNECTED)
         assert transform_region(Rect(5, 5, 100, 100), geom) == EMPTY_RECT
 
-    def test_softmax_destroys(self):
+    def test_softmax_passes_through(self):
+        # softmax normalizes over channels at one (y, x)
         assert transform_region(Rect(0, 0, 3, 3),
-                                LayerGeom(LayerType.SOFTMAX)) == EMPTY_RECT
+                                LayerGeom(LayerType.SOFTMAX)) == Rect(0, 0, 3, 3)
 
     def test_concat_rejected_here(self):
         with pytest.raises(ValueError):
@@ -135,43 +125,53 @@ class TestConcatTransform:
 class TestPropagateMappings:
     def test_fig_mapping_pair(self):
         m = RegionMapping(dst=Rect(100, 100, 100, 40), src=Rect(120, 120, 100, 40))
-        out = propagate_mappings([m], CONV_11_2_5, out_w=113, out_h=113)
+        out = propagate_mappings([m], CONV_11_2_5)
         assert out == [RegionMapping(dst=Rect(53, 53, 45, 15), src=Rect(63, 63, 45, 15))]
 
     def test_fully_connected_drops_all(self):
         m = RegionMapping(dst=Rect(0, 0, 50, 50), src=Rect(10, 10, 50, 50))
-        assert propagate_mappings([m], LayerGeom(LayerType.FULLY_CONNECTED), 1, 1) == []
+        assert propagate_mappings([m], LayerGeom(LayerType.FULLY_CONNECTED)) == []
 
     def test_empty_list(self):
-        assert propagate_mappings([], CONV_11_2_5, 113, 113) == []
+        assert propagate_mappings([], CONV_11_2_5) == []
 
     def test_sizes_stay_equal_after_asymmetric_clip(self):
-        geom = LayerGeom(LayerType.CONVOLUTION, kernel=3, stride=1, pad=2)
-        # dst hugs the right edge of an 8-wide plane, src is interior
-        m = RegionMapping(dst=Rect(2, 2, 8, 8), src=Rect(0, 0, 8, 8))
-        out = propagate_mappings([m], geom, out_w=8, out_h=8)
-        assert len(out) == 1
-        t = out[0]
-        assert (t.dst.w, t.dst.h) == (t.src.w, t.src.h)
-        assert t.dst == Rect(4, 4, 4, 4)
-        # left-top anchored shrink keeps the original corner correspondence
-        assert t.src == Rect(2, 2, 4, 4)
+        # offset (2, 1) is not a multiple of stride 4: dst keeps outputs
+        # 0-2 on each axis and src only 1-2, so dst shrinks to src's 2x2
+        # from its left-top corner
+        geom = LayerGeom(LayerType.CONVOLUTION, kernel=11, stride=4)
+        m = RegionMapping(dst=Rect(0, 0, 20, 20), src=Rect(2, 1, 20, 20))
+        assert propagate_mappings([m], geom) == [
+            RegionMapping(dst=Rect(0, 0, 2, 2), src=Rect(1, 1, 2, 2))]
 
     def test_transform_mapping_none_when_side_dies(self):
-        geom = LayerGeom(LayerType.CONVOLUTION, kernel=3, stride=1, pad=0)
-        m = RegionMapping(dst=Rect(0, 0, 10, 10), src=Rect(-20, 0, 10, 10))
-        assert transform_mapping(m, geom, out_w=6, out_h=62) is None
+        # dst keeps output (0, 0); src's window would start at 2 and end
+        # past its input rect [1, 4)
+        geom = LayerGeom(LayerType.CONVOLUTION, kernel=3, stride=2)
+        m = RegionMapping(dst=Rect(0, 0, 3, 3), src=Rect(1, 1, 3, 3))
+        assert transform_region(m.dst, geom) == Rect(0, 0, 1, 1)
+        assert transform_mapping(m, geom) is None
 
-    def test_dst_disjointness_preserved(self):
-        geom = LayerGeom(LayerType.CONVOLUTION, kernel=3, stride=2, pad=1)
-        ms = [RegionMapping(dst=Rect(x, y, 10, 10), src=Rect(x, y, 10, 10))
-              for x in (0, 10, 20) for y in (0, 10)]
-        out = propagate_mappings(ms, geom, out_w=16, out_h=16)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 5), st.integers(1, 4), st.integers(0, 3),
+           st.sampled_from(list(WINDOWED)))
+    def test_dst_disjointness_preserved(self, cols, rows, bw, bh, k, s, p, layer_type):
+        # grid rects tiling the plane, through any window geometry (k < s
+        # too): dsts stay disjoint, and each is exactly the brute-force
+        # set of outputs whose window lies inside its input rect
+        geom = LayerGeom(layer_type, kernel=k, stride=s, pad=p)
+        ms = [still(Rect(c * bw, r * bh, bw, bh)) for c in range(cols) for r in range(rows)]
+        out = propagate_mappings(ms, geom)
         for i, a in enumerate(out):
             for b in out[i + 1:]:
-                iw = min(a.dst.x2, b.dst.x2) - max(a.dst.x, b.dst.x)
-                ih = min(a.dst.y2, b.dst.y2) - max(a.dst.y, b.dst.y)
-                assert iw <= 0 or ih <= 0
+                assert rect_intersect(a.dst, b.dst).is_empty
+        want = []
+        for m in ms:
+            xs = window_columns(m.dst.x, m.dst.w, k, s, p)
+            ys = window_columns(m.dst.y, m.dst.h, k, s, p)
+            if xs and ys:
+                want.append(still(Rect(xs[0], ys[0], len(xs), len(ys))))
+        assert out == want
 
 
 class TestConcatMappings:
