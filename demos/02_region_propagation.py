@@ -2,8 +2,8 @@
 
 A matched region is only reusable at a layer's output where every value's
 receptive field lies inside the region, so windowed layers erode it,
-layers that read one position across channels (elementwise, lrn, softmax)
-pass it through, and fully-connected layers destroy it.
+pointwise layers, which read one position across channels (relu, lrn,
+softmax, scale, bias), pass it through, and fully-connected layers destroy it.
 
     python3 demos/02_region_propagation.py
 """
@@ -14,10 +14,9 @@ from framecache import (LayerGeom, LayerType, Rect, RegionMapping,
 STACK = [
     ("conv 11x11, stride 2, pad 5",
      LayerGeom(LayerType.CONVOLUTION, kernel=11, stride=2, pad=5)),
-    ("relu", LayerGeom(LayerType.ELEMENTWISE)),
+    ("pointwise (relu/lrn/softmax)", LayerGeom(LayerType.ELEMENTWISE)),
     ("pool 3x3, stride 2, pad 1",
      LayerGeom(LayerType.POOLING, kernel=3, stride=2, pad=1)),
-    ("lrn radius 2 (channels)", LayerGeom(LayerType.LRN, radius=2)),
     ("fully connected", LayerGeom(LayerType.FULLY_CONNECTED)),
 ]
 

@@ -108,12 +108,20 @@ def _planar(data: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
-    """8-bit image: uint8 array of shape (channels, height, width), read-only."""
+    """8-bit image: uint8 array of shape (channels, height, width), read-only.
+
+    Data of another dtype must hold only integers in [0, 255].
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _planar(self.data, np.uint8))
+        data = np.asarray(self.data)
+        # The range test comes first: NaN and inf fail it without a cast.
+        if data.dtype != np.uint8 and not (np.all((data >= 0) & (data <= 255))
+                                           and np.all(data == np.round(data))):
+            raise ValueError("frame data is not exactly representable as uint8")
+        object.__setattr__(self, "data", _planar(data, np.uint8))
 
     @property
     def channels(self) -> int:

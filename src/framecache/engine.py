@@ -17,12 +17,13 @@ contain copies; expiration is the only bound on that compounding.
 What each layer op is (its model-text keys, propagation geometry, output
 dims and forward call) is stated once, in OPS.
 
-Numeric contract: all kernels accumulate in float64 and store float32,
-and every stored value is defined by a fixed formula, so repeated runs
-(and the copy/compute split in cached convolution) are bit-reproducible
-whatever the BLAS's blocking or thread count.  A convolution output is
-the float32 of its bias plus its terms added one at a time in (input
-channel, kernel row, kernel col) order; one convolution kernel serves
+Numeric contract: weights and biases are float32, as the weight blob
+stores them (the engine rejects other dtypes); all kernels accumulate in
+float64 and store float32, and every stored value is defined by a fixed
+formula, so repeated runs (and the copy/compute split in cached
+convolution) are bit-reproducible whatever the BLAS's blocking or thread
+count.  A convolution output is the float32 of its bias plus its terms
+added one at a time in (input channel, kernel row, kernel col) order; one convolution kernel serves
 both the full and the cached path and computes any set of output pixels,
 so which pixels are computed together never changes a value.  Sums whose
 order is not fixed by a formula (fc dot products, softmax normalizers)
@@ -37,7 +38,8 @@ x and weight row w, widened by 1 + 4*(n+2)*u to cover its own rounding
 (_weight_norms), so the matrix product is the only BLAS product per
 pixel.  The rare entries the screen does not settle (exact zeros, heavy
 cancellation, non-finite terms) are summed by the defining formula: in
-the fixed order for conv, exactly with math.fsum for fc.
+the fixed order for conv, exactly with math.fsum for fc (NaN where the
+terms hold both infinities, as the fixed order gives).
 Transcendentals in hot paths use numpy's vectorized forms; softmax uses
 scalar math.exp so its tiny head stays identical to a scalar reference.
 """
@@ -61,8 +63,8 @@ class LayerSpec:
     """One layer: operation, geometry, graph wiring, and parameters.
 
     weights/biases stay None until a weight blob is loaded (conv and fc
-    only).  norm_bias/alpha/beta belong to lrn, factor to scale, value to
-    bias, pool_mode to pool.
+    only), and must then be float32.  radius/norm_bias/alpha/beta belong to
+    lrn, factor to scale, value to bias, pool_mode to pool.
     """
 
     name: str
@@ -73,6 +75,7 @@ class LayerSpec:
     out_channels: int = 0
     out_features: int = 0
     pool_mode: str = "max"
+    radius: int = 0
     alpha: float = 1e-4
     beta: float = 0.75
     norm_bias: float = 1.0
@@ -91,6 +94,8 @@ class LayerSpec:
             raise ValueError(f"layer {self.name!r}: only concat takes multiple inputs")
         if self.op == "pool" and self.pool_mode not in ("max", "avg"):
             raise ValueError(f"pool mode must be max or avg, got {self.pool_mode!r}")
+        if self.radius < 0:
+            raise ValueError("radius must be >= 0")
 
 
 @dataclass
@@ -186,16 +191,22 @@ class FrameMetrics:
     per_layer: list[ConvLayerMacs] = field(default_factory=list)
 
 
+def _channel_means(mean, channels: int) -> np.ndarray:
+    """mean, a scalar or a per-channel sequence, as one float64 per channel."""
+    mean_arr = np.asarray(mean, dtype=np.float64).reshape(-1)
+    if mean_arr.size == 1:
+        mean_arr = np.repeat(mean_arr, channels)
+    if mean_arr.size != channels:
+        raise ValueError(f"mean has {mean_arr.size} entries for {channels} channels")
+    return mean_arr
+
+
 def preprocess(frame: Frame, mean=0.0, scale: float = 1.0) -> FeatureMap:
     """(sample - mean[channel]) * scale, to float32.
 
     mean is a scalar or a per-channel sequence; frames are not resized.
     """
-    mean_arr = np.asarray(mean, dtype=np.float64).reshape(-1)
-    if mean_arr.size == 1:
-        mean_arr = np.repeat(mean_arr, frame.channels)
-    if mean_arr.size != frame.channels:
-        raise ValueError(f"mean has {mean_arr.size} entries for {frame.channels} channels")
+    mean_arr = _channel_means(mean, frame.channels)
     out = (frame.data.astype(np.float64) - mean_arr[:, None, None]) * float(scale)
     return FeatureMap(out.astype(np.float32))
 
@@ -203,6 +214,9 @@ def preprocess(frame: Frame, mean=0.0, scale: float = 1.0) -> FeatureMap:
 def _require_weights(spec: LayerSpec):
     if spec.weights is None or spec.biases is None:
         raise ValueError(f"layer {spec.name!r} has no weights loaded")
+    for kind, arr in (("weights", spec.weights), ("biases", spec.biases)):
+        if arr.dtype.type is not np.float32:
+            raise ValueError(f"layer {spec.name!r}: {kind} are {arr.dtype}, not float32")
 
 
 def _pad_input(x64: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
@@ -237,11 +251,6 @@ def _check_conv(input: FeatureMap, spec: LayerSpec) -> tuple[int, int]:
 # Unit roundoff of float64, and its smallest normal magnitude.
 _U64 = 2.0 ** -53
 _TINY64 = float(np.finfo(np.float64).tiny)
-
-# Smallest squared row norm _weight_norms takes as summed: squares that
-# underflowed can hide at most n * 2**-1074 of it, far below its margin.
-_NORM_SQ_MIN = 2.0 ** -900
-
 
 # Most float64 window values _conv_at gathers at once (512 KB, which keeps
 # a chunk in a core's L2 cache), so its memory stays bounded whatever the
@@ -281,33 +290,20 @@ def _screen(s: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _weight_norms(w64: np.ndarray) -> np.ndarray:
-    """Per-row factors of the Cauchy-Schwarz bound for a float64 (rows, n)
-    weight matrix: for any float32 vector x, the float64 product of its
-    2-norm (the square root of its sum of squares, summed in any order)
-    with entry r is at least sum_i |w64[r, i] * x_i|, unless that product
-    underflows.
+    """Per-row factors of the Cauchy-Schwarz bound for a (rows, n) matrix
+    of float32 weights held in float64: for any float32 vector x, the
+    float64 product of its 2-norm (the square root of its sum of squares,
+    summed in any order) with entry r is at least sum_i |w64[r, i] * x_i|.
 
     Each row's 2-norm is widened by the margin 1 + 4*(n+2)*u, which covers
     the rounding of both sums of squares (gamma_n each, halved by the
-    square roots), of the squares of w, of both square roots and of the
-    two products, with room to spare.  The squares of a float32 x are exact
-    and never overflow or underflow in float64, but those of wider
-    weights may: a row whose sum of squares lies outside
-    [_NORM_SQ_MIN, inf) is scaled by a power of two that brings its
-    largest entry into [0.5, 1) and its norm scaled back.  A norm that
-    would be subnormal is raised to the smallest normal float64, so the
-    scaling back never rounds it down; one that overflows, or a row
-    holding an infinity or NaN, gives a non-finite bound, which leaves
-    its entries unsettled.
+    square roots), of both square roots and of the two products, with
+    room to spare.  The squares of float32 values are exact and never
+    overflow or underflow in float64, nor do the norms or their product;
+    a row holding an infinity or NaN gives a non-finite bound, which
+    leaves its entries unsettled.
     """
-    q = np.einsum("ij,ij->i", w64, w64)
-    norms = np.sqrt(q)
-    odd = np.flatnonzero(~((q >= _NORM_SQ_MIN) & (q < np.inf)))
-    if odd.size:
-        _, e = np.frexp(np.abs(w64[odd]).max(axis=1))
-        scaled = np.ldexp(w64[odd], -e[:, None])
-        norms[odd] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), e)
-    return np.maximum(norms, _TINY64) * (1.0 + 4 * (w64.shape[1] + 2) * _U64)
+    return np.sqrt(np.einsum("ij,ij->i", w64, w64)) * (1.0 + 4 * (w64.shape[1] + 2) * _U64)
 
 
 def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
@@ -460,7 +456,7 @@ def lrn_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     """Cross-channel normalization over a 2r+1 channel window:
     out = in / (norm_bias + alpha/(2r+1) * sum of squared neighbors)^beta.
     Channels outside the stack contribute zero."""
-    r = spec.geom.radius
+    r = spec.radius
     size = 2 * r + 1
     x64 = input.data.astype(np.float64)
     c = input.channels
@@ -473,6 +469,14 @@ def lrn_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     return FeatureMap((x64 / denom).astype(np.float32))
 
 
+def _fsum_or_nan(terms: list[float]) -> float:
+    """math.fsum of terms, or NaN where it raises for inf - inf."""
+    try:
+        return math.fsum(terms)
+    except ValueError:
+        return math.nan
+
+
 def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     """Dense layer over the flattened (channel-major) input.
 
@@ -480,19 +484,16 @@ def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     weight*input products, stored as float32.  The products are exact in
     float64 (two float32 mantissas fit, and their exponents neither
     overflow nor underflow), so the result depends on no summation order.
-    (Wider weights give rounded products; the screen's bound has the
-    margin to cover that rounding too, so the result is still that of
-    fsum.)
 
     Every row is first summed by a float64 matrix-vector product in
     whatever order the BLAS picks.  Its terms' magnitudes are bounded by
     |b| + ||x|| * ||w_row|| * (1 + 4*(n+2)*u), as in _conv_at (see
-    _weight_norms, which also keeps wider weights' norms from underflowing
-    or overflowing), and _screen settles the rows whose error interval
+    _weight_norms), and _screen settles the rows whose error interval
     under that bound stores as one float32.  The other rows (exact zeros,
     sums that cancel to near a float32 rounding boundary, non-finite
     terms) are summed exactly by math.fsum, bias first, which also keeps
-    its +0.0 for an exact zero and its ValueError for inf - inf.
+    its +0.0 for an exact zero.  A row holding both +inf and -inf terms,
+    where fsum raises, stores NaN, as conv does.
     """
     _require_weights(spec)
     x64 = input.data.astype(np.float64).ravel()
@@ -507,7 +508,7 @@ def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
         out, unsettled = _screen(s, a, x64.size + 1)
         rows = np.flatnonzero(unsettled)
         if rows.size:
-            exact = [math.fsum([float(b64[r])] + (w64[r] * x64).tolist()) for r in rows]
+            exact = [_fsum_or_nan([float(b64[r])] + (w64[r] * x64).tolist()) for r in rows]
             out[rows] = np.array(exact).astype(np.float32)
     return FeatureMap(out.reshape(-1, 1, 1))
 
@@ -609,11 +610,11 @@ OPS: dict[str, LayerOp] = {
                     _pool_out, lambda spec, xs: pool_forward(xs[0], spec)),
     "relu": LayerOp({}, LayerType.ELEMENTWISE, _same_out,
                     lambda spec, xs: relu_forward(xs[0])),
-    "lrn": LayerOp({"r": None, "alpha": 1e-4, "beta": 0.75, "bias": 1.0}, LayerType.LRN,
-                   _same_out, lambda spec, xs: lrn_forward(xs[0], spec)),
+    "lrn": LayerOp({"r": None, "alpha": 1e-4, "beta": 0.75, "bias": 1.0},
+                   LayerType.ELEMENTWISE, _same_out, lambda spec, xs: lrn_forward(xs[0], spec)),
     "fc": LayerOp({"out": None}, LayerType.FULLY_CONNECTED, _fc_out,
                   lambda spec, xs: fc_forward(xs[0], spec)),
-    "softmax": LayerOp({}, LayerType.SOFTMAX, _same_out,
+    "softmax": LayerOp({}, LayerType.ELEMENTWISE, _same_out,
                        lambda spec, xs: softmax_forward(xs[0])),
     "concat": LayerOp({}, LayerType.CONCAT, _concat_out,
                       lambda spec, xs: concat_forward(xs)),
@@ -630,7 +631,10 @@ class Session:
     Single-threaded; owns its CacheStore exclusively.  With cache_enabled
     False every frame runs the plain full forward (each frame is a flush
     and nothing is retained).  With it True the model input must hold at
-    least one matcher block, or no frame could ever be matched.
+    least one matcher block, or no frame could ever be matched.  Every
+    conv and fc layer must hold float32 weights and biases, and mean must
+    give one value or one per input channel; all three are checked here,
+    before any frame.
 
     A cache-assisted frame is matched with the cache's anchor (the last
     searched match since the flush) as prior: it is verified at the
@@ -657,9 +661,12 @@ class Session:
             raise ValueError(f"model input {in_w}x{in_h} is smaller than the matcher's "
                              f"{block}x{block} block; use a smaller block_size or "
                              f"cache_enabled=False")
+        for spec in graph.layers:
+            if spec.op in ("conv", "fc"):
+                _require_weights(spec)
         self.cache = CacheStore(expire_n=expire_n)
         self.cache_enabled = cache_enabled
-        self.mean = mean
+        self.mean = _channel_means(mean, graph.input_dims[0])
         self.scale = scale
         self.last_match: MatchResult | None = None
         self._totals = graph.conv_total_macs()

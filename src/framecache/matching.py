@@ -15,10 +15,10 @@ channels, peak value 255).  Identical blocks score the finite sentinel
 Two accelerations are built in: Step 2 can search only every k-th grid row
 and column (``skip_k``), and every SSE the search computes lands in one
 table per search, indexed by block and offset, so Step 4 re-verification
-reads the ones at the global motion instead of recomputing them.  All
-three search strategies score, range-check, count and rank their
-candidates through one method, ``_BlockBatch.best``; a strategy only
-chooses which offsets to try.
+reads the ones at the global motion instead of recomputing them.  Both
+search strategies score, range-check, count and rank their candidates
+through one method, ``_BlockBatch.best``; a strategy only chooses which
+offsets to try.
 
 Temporal motion prediction: given ``prior``, an earlier searched
 MatchResult, match_frames first runs Steps 1, 4 and 5 alone at the prior's
@@ -54,7 +54,6 @@ PRIOR_MIN = 0.5
 # Large/small diamond search patterns; offsets relative to the pattern center.
 _LDSP = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (1, -1), (-1, 1), (1, 1))
 _SDSP = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
-_TSS_DIRS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
 
 @dataclass
@@ -254,18 +253,6 @@ def _diamond_search(b: _BlockBatch) -> np.ndarray:
     return b.best(np.arange(b.n), centers, _SDSP)
 
 
-def _three_step_search(b: _BlockBatch) -> np.ndarray:
-    # A range of 0 gives one round of step 1, of which only (0, 0) is in range.
-    centers = np.zeros((b.n, 2), dtype=np.int64)
-    rounds = max(1, (b.cfg.search_range - 1).bit_length())
-    step = 1 << (rounds - 1)
-    while step >= 1:
-        pattern = ((0, 0),) + tuple((ox * step, oy * step) for ox, oy in _TSS_DIRS)
-        centers = b.best(np.arange(b.n), centers, pattern)
-        step //= 2
-    return centers
-
-
 def _exhaustive_search(b: _BlockBatch) -> np.ndarray:
     # The full square of offsets, one block at a time, so one gather holds
     # at most one block's (2r+1)^2 windows.
@@ -277,7 +264,6 @@ def _exhaustive_search(b: _BlockBatch) -> np.ndarray:
 
 SEARCH_STRATEGIES = {
     "diamond": _diamond_search,
-    "three-step": _three_step_search,
     "exhaustive": _exhaustive_search,
 }
 

@@ -30,7 +30,7 @@ from .engine import OPS, LayerSpec, ModelGraph
 from .regions import LayerGeom
 
 # Model-text key → (value type, the LayerSpec field it sets, or the
-# LayerGeom field for window and radius keys).  Which keys each op takes,
+# LayerGeom field for window keys).  Which keys each op takes,
 # and their defaults, are in engine.OPS.
 _KEY_FIELDS = {
     "k": (int, "kernel"), "s": (int, "stride"), "p": (int, "pad"), "r": (int, "radius"),

@@ -4,8 +4,8 @@ One rule serves every layer: an output value is reusable exactly when
 every input value it reads lies inside the reusable input rectangle.
 Windowed layers (convolution, pooling) therefore keep the outputs whose
 whole window lies inside the rectangle, which never reads padding;
-pointwise layers (cross-channel normalization, softmax and elementwise
-ops) read one spatial position across channels, so the rectangle passes
+elementwise layers, cross-channel normalization and softmax among them,
+read one spatial position across channels, so the rectangle passes
 through; fully connected layers read every input, so nothing survives;
 concatenation keeps the area reusable in every input branch.
 
@@ -25,39 +25,32 @@ from .core import EMPTY_RECT, Rect, RegionMapping, rect_intersect
 class LayerType(enum.Enum):
     CONVOLUTION = "convolution"
     POOLING = "pooling"
-    LRN = "lrn"
     CONCAT = "concat"
     FULLY_CONNECTED = "fully_connected"
-    SOFTMAX = "softmax"
+    # Every output reads only its own spatial position.
     ELEMENTWISE = "elementwise"
 
 
 # Layer types whose output rectangle is computed from a sliding input window.
 _WINDOWED = (LayerType.CONVOLUTION, LayerType.POOLING)
-# Layer types whose every output reads only its own spatial position.
-_POINTWISE = (LayerType.LRN, LayerType.SOFTMAX, LayerType.ELEMENTWISE)
 
 
 @dataclass(frozen=True)
 class LayerGeom:
     """Geometry of one layer as seen by region propagation.
 
-    kernel/stride/pad describe conv and pool windows; radius the LRN
-    half-window.
+    kernel/stride/pad describe conv and pool windows.
     """
 
     layer_type: LayerType
     kernel: int = 1
     stride: int = 1
     pad: int = 0
-    radius: int = 0
 
     def __post_init__(self):
         if self.layer_type in _WINDOWED:
             if self.kernel < 1 or self.stride < 1 or self.pad < 0:
                 raise ValueError(f"bad window geometry {self}")
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
 
 
 def _window_span(start: int, size: int, k: int, s: int, p: int) -> tuple[int, int]:
@@ -85,7 +78,7 @@ def transform_region(rect: Rect, geom: LayerGeom) -> Rect:
         x, w = _window_span(rect.x, rect.w, geom.kernel, geom.stride, geom.pad)
         y, h = _window_span(rect.y, rect.h, geom.kernel, geom.stride, geom.pad)
         return Rect(x, y, w, h) if w and h else EMPTY_RECT
-    if t in _POINTWISE:
+    if t is LayerType.ELEMENTWISE:
         return rect
     if t is LayerType.FULLY_CONNECTED:
         return EMPTY_RECT

@@ -108,12 +108,17 @@ def fc_fsum(x, w, b):
     """Dense layer as one math.fsum per output row over the bias and the
     float64 products, stored float32: the per-row formula the production
     kernel must reproduce bit for bit, including +0.0 for rows that cancel
-    exactly and fsum's handling of non-finite terms."""
+    exactly and fsum's handling of non-finite terms, with NaN for a row
+    where fsum raises (inf - inf)."""
     flat = x.astype(np.float64).ravel()
     prods = w.astype(np.float64) * flat[None, :]
-    out = np.array([math.fsum(chain((bias,), row))
-                    for bias, row in zip(b.astype(np.float64), prods)])
-    return out.astype(np.float32).reshape(-1, 1, 1)
+    out = []
+    for bias, row in zip(b.astype(np.float64), prods):
+        try:
+            out.append(math.fsum(chain((bias,), row)))
+        except ValueError:
+            out.append(math.nan)
+    return np.array(out).astype(np.float32).reshape(-1, 1, 1)
 
 
 def softmax_naive(x):
@@ -214,45 +219,6 @@ def window_columns(rect_x, rect_w, k, stride, pad, limit=512):
         if start >= rect_x and start + k <= rect_x + rect_w:
             cols.append(ox)
     return cols
-
-
-def three_step_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_range):
-    """Serial three-step search for one block; ties by (sse, |dx|+|dy|, dy, dx).
-
-    Steps of 2**(rounds-1) down to 1 around the best point so far, where
-    rounds = max(1, bit length of search_range - 1); a range of 0 scores
-    only (0, 0).  Returns (dx, dy, sse, set of distinct (dx, dy) offsets
-    scored).
-    """
-    dirs = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
-    _, h, w = ref.shape
-    cblk = cur[:, block_y:block_y + block_h, block_x:block_x + block_w]
-    scored = {}
-
-    def best(cx, cy, pattern):
-        best_key = None
-        for ox, oy in pattern:
-            dx, dy = cx + ox, cy + oy
-            x, y = block_x + dx, block_y + dy
-            if (abs(dx) > search_range or abs(dy) > search_range
-                    or x < 0 or y < 0 or x + block_w > w or y + block_h > h):
-                continue
-            if (dx, dy) not in scored:
-                scored[(dx, dy)] = sse_int(cblk, ref[:, y:y + block_h, x:x + block_w])
-            key = (scored[(dx, dy)], abs(dx) + abs(dy), dy, dx)
-            if best_key is None or key < best_key:
-                best_key = key
-        return best_key[3], best_key[2]
-
-    cx = cy = 0
-    if search_range == 0:
-        cx, cy = best(0, 0, ((0, 0),))
-    else:
-        step = 1 << (max(1, (search_range - 1).bit_length()) - 1)
-        while step >= 1:
-            cx, cy = best(cx, cy, ((0, 0),) + tuple((ox * step, oy * step) for ox, oy in dirs))
-            step //= 2
-    return cx, cy, scored[(cx, cy)], set(scored)
 
 
 def merge_blocks_ref(verified, motion):

@@ -97,6 +97,15 @@ class TestFrameTypes:
         with pytest.raises(ValueError):
             Frame(np.zeros((4, 6), dtype=np.uint8))
 
+    @pytest.mark.parametrize("value", [300, -1, 2.7, np.nan, np.inf])
+    def test_frame_rejects_values_uint8_cannot_hold(self, value):
+        with pytest.raises(ValueError, match="uint8"):
+            Frame(np.full((3, 4, 4), value))
+
+    def test_frame_takes_whole_values_of_any_dtype(self):
+        f = Frame(np.array([[[0.0, 7.0, 255.0]]]))
+        assert f.data.dtype == np.uint8 and f.data.tolist() == [[[0, 7, 255]]]
+
     def test_frame_data_read_only(self):
         f = Frame(np.zeros((1, 2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):

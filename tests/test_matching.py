@@ -13,8 +13,7 @@ from framecache import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, Frame, MatcherC
 from framecache.synth import synth_sequence
 
 from framecache.matching import PRIOR_KEEP, PRIOR_MIN, _BlockBatch, psnr_from_sse
-from reference import (diamond_search_ref, exhaustive_search_ref, merge_blocks_ref,
-                       psnr_ref, three_step_search_ref)
+from reference import diamond_search_ref, exhaustive_search_ref, merge_blocks_ref, psnr_ref
 
 
 def noise_frame(seed, channels=1, h=24, w=24):
@@ -83,7 +82,7 @@ class TestBlockSearch:
     def test_identical_frames_all_strategies(self):
         f = noise_frame(3, channels=3)
         block = Rect(8, 8, 8, 8)
-        for strategy in ("diamond", "three-step", "exhaustive"):
+        for strategy in ("diamond", "exhaustive"):
             cfg = MatcherConfig(block_size=8, strategy=strategy, search_range=5)
             m = block_search(f, f, block, cfg)
             assert m.offset == (0, 0)
@@ -129,19 +128,11 @@ class TestBlockSearch:
                               MatcherConfig(block_size=8, strategy="exhaustive", search_range=5))
             assert ds.psnr <= es.psnr
 
-    def test_three_step_recovers_translations(self):
-        for dx, dy in ((-6, 4), (7, 0), (0, -8), (5, 5)):
-            ref, cur = texture_pair(-dx, -dy, seed=11)
-            cfg = MatcherConfig(strategy="three-step", search_range=16)
-            m = block_search(cur, ref, Rect(20, 20, 10, 10), cfg)
-            assert m.offset == (dx, dy), (dx, dy, m.offset)
-
-    @pytest.mark.parametrize("strategy", ["diamond", "three-step", "exhaustive"])
+    @pytest.mark.parametrize("strategy", ["diamond", "exhaustive"])
     def test_lockstep_search_equals_serial_reference(self, strategy):
         # every block of a grid searched at once must follow its own serial
         # trajectory: same offset, same PSNR, same SSEs scored, each once
-        search_ref = {"diamond": diamond_search_ref, "three-step": three_step_search_ref,
-                      "exhaustive": exhaustive_search_ref}[strategy]
+        search_ref = {"diamond": diamond_search_ref, "exhaustive": exhaustive_search_ref}[strategy]
         cfg = MatcherConfig(block_size=8, strategy=strategy, search_range=6)
         pairs = [(noise_frame(s, channels=3, h=40, w=48),
                   noise_frame(s + 70, channels=3, h=40, w=48)) for s in range(3)]
@@ -415,7 +406,7 @@ class TestMatchFrames:
                     expect += 1
             assert res.stats.psnr_evals == expect
 
-    @pytest.mark.parametrize("strategy", ["diamond", "three-step", "exhaustive"])
+    @pytest.mark.parametrize("strategy", ["diamond", "exhaustive"])
     def test_huge_search_range_bounded_by_frame(self, strategy):
         # a range wider than the frame reaches no further than the frame does
         ref, cur = texture_pair(3, -2, seed=5, w=48, h=40, noise=0.05)
@@ -547,6 +538,7 @@ class TestMatcherConfig:
     @pytest.mark.parametrize("kwargs", [
         {"block_size": 0}, {"skip_k": 0}, {"search_range": -1},
         {"threshold_t": 0.0}, {"threshold_t": -3.0}, {"strategy": "bogus"},
+        {"strategy": "three-step"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from framecache import (EMPTY_RECT, LayerGeom, LayerType, Rect, RegionMapping,
                         concat_mappings, propagate_mappings, rect_intersect,
                         transform_mapping, transform_region)
+from framecache.engine import OPS
 
 from reference import window_columns
 
@@ -75,23 +76,27 @@ class TestWindowedTransform:
 
 
 class TestOtherTransforms:
-    def test_lrn_passes_through(self):
-        # lrn mixes channels at one (y, x), so its radius erodes nothing
-        geom = LayerGeom(LayerType.LRN, radius=2)
-        assert transform_region(Rect(10, 10, 10, 8), geom) == Rect(10, 10, 10, 8)
-
-    def test_lrn_keeps_a_thin_rect(self):
-        geom = LayerGeom(LayerType.LRN, radius=3)
-        assert transform_region(Rect(0, 0, 6, 20), geom) == Rect(0, 0, 6, 20)
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_op_region_rule(self, op):
+        # each op of the layer table, through the layer type it declares:
+        # pointwise ops (lrn and softmax mix channels at one (y, x)) pass
+        # the rect through, windowed ones keep the brute-force windows
+        # inside it, fc keeps nothing, and concat is not handled here
+        rect = Rect(7, 9, 20, 16)
+        geom = LayerGeom(OPS[op].layer_type, kernel=3, stride=2, pad=1)
+        if op == "concat":
+            with pytest.raises(ValueError):
+                transform_region(rect, geom)
+            return
+        xs, ys = window_columns(rect.x, rect.w, 3, 2, 1), window_columns(rect.y, rect.h, 3, 2, 1)
+        windows = Rect(xs[0], ys[0], len(xs), len(ys))
+        want = {"conv": windows, "pool": windows, "fc": EMPTY_RECT, "relu": rect,
+                "lrn": rect, "softmax": rect, "scale": rect, "bias": rect}[op]
+        assert transform_region(rect, geom) == want
 
     def test_fully_connected_destroys(self):
         geom = LayerGeom(LayerType.FULLY_CONNECTED)
         assert transform_region(Rect(5, 5, 100, 100), geom) == EMPTY_RECT
-
-    def test_softmax_passes_through(self):
-        # softmax normalizes over channels at one (y, x)
-        assert transform_region(Rect(0, 0, 3, 3),
-                                LayerGeom(LayerType.SOFTMAX)) == Rect(0, 0, 3, 3)
 
     def test_concat_rejected_here(self):
         with pytest.raises(ValueError):
@@ -205,7 +210,3 @@ class TestLayerGeomValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             LayerGeom(LayerType.CONVOLUTION, **base)
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            LayerGeom(LayerType.LRN, radius=-1)
