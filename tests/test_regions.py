@@ -94,6 +94,17 @@ class TestOtherTransforms:
                 "lrn": rect, "softmax": rect, "scale": rect, "bias": rect}[op]
         assert transform_region(rect, geom) == want
 
+    def test_lrn_passes_through(self):
+        # lrn mixes channels at one (y, x), so its radius erodes nothing
+        geom = LayerGeom(OPS["lrn"].layer_type)
+        assert transform_region(Rect(10, 10, 10, 8), geom) == Rect(10, 10, 10, 8)
+
+    def test_lrn_keeps_a_thin_rect(self):
+        # a rect narrower than any lrn window survives whole
+        geom = LayerGeom(OPS["lrn"].layer_type)
+        assert transform_region(Rect(0, 0, 6, 20), geom) == Rect(0, 0, 6, 20)
+        assert transform_region(Rect(0, 0, 1, 1), geom) == Rect(0, 0, 1, 1)
+
     def test_fully_connected_destroys(self):
         geom = LayerGeom(LayerType.FULLY_CONNECTED)
         assert transform_region(Rect(5, 5, 100, 100), geom) == EMPTY_RECT
