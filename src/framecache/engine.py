@@ -14,8 +14,9 @@ fully, though regions still propagate through it geometrically.  Copied
 values come from the previous frame's stored output, which may itself
 contain copies; expiration is the only bound on that compounding.
 
-What each layer op is (its model-text keys, propagation geometry, output
-dims and forward call) is stated once, in OPS.
+What each layer op is (its model-text keys with the LayerSpec field, value
+type and default of each, propagation geometry, output dims, weight and
+bias shapes, and forward call) is stated once, in OPS.
 
 Numeric contract: weights and biases are float32, as the weight blob
 stores them (the engine rejects other dtypes); all kernels accumulate in
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -60,18 +61,22 @@ from .regions import LayerGeom, LayerType, concat_mappings, propagate_mappings
 
 @dataclass
 class LayerSpec:
-    """One layer: operation, geometry, graph wiring, and parameters.
+    """One layer: its op, graph wiring, and the values of the op's keys.
 
+    OPS names the field each model-text key sets; geom follows from the op
+    and kernel/stride/pad.  Building a spec checks its window, that its
+    op's float keys are finite, and lrn's bias > 0 and alpha >= 0.
     weights/biases stay None until a weight blob is loaded (conv and fc
-    only), and must then be float32.  radius/norm_bias/alpha/beta belong to
-    lrn, factor to scale, value to bias, pool_mode to pool.
+    only), and must then be float32.
     """
 
     name: str
     op: str
-    geom: LayerGeom
     in_blobs: list[str]
     out_blob: str
+    kernel: int = 1
+    stride: int = 1
+    pad: int = 0
     out_channels: int = 0
     out_features: int = 0
     pool_mode: str = "max"
@@ -94,8 +99,22 @@ class LayerSpec:
             raise ValueError(f"layer {self.name!r}: only concat takes multiple inputs")
         if self.op == "pool" and self.pool_mode not in ("max", "avg"):
             raise ValueError(f"pool mode must be max or avg, got {self.pool_mode!r}")
+        for key, k in OPS[self.op].keys.items():
+            if k.type is float and not math.isfinite(getattr(self, k.field)):
+                raise ValueError(f"layer {self.name!r}: {key} must be finite, "
+                                 f"got {getattr(self, k.field)}")
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
+        # The lrn base norm_bias + alpha/(2r+1) * (sum of squares) must be
+        # positive for any input, or its power is NaN.
+        if self.op == "lrn" and (self.norm_bias <= 0 or self.alpha < 0):
+            raise ValueError(f"layer {self.name!r}: lrn needs bias > 0 and alpha >= 0, "
+                             f"got bias={self.norm_bias}, alpha={self.alpha}")
+        self.geom  # a bad window fails here, not on the first frame
+
+    @property
+    def geom(self) -> LayerGeom:
+        return LayerGeom(OPS[self.op].layer_type, self.kernel, self.stride, self.pad)
 
 
 @dataclass
@@ -123,17 +142,16 @@ class ModelGraph:
                 return spec
         raise KeyError(name)
 
+    def param_shapes(self) -> list[tuple[LayerSpec, tuple, tuple]]:
+        """(layer, weight shape, bias shape) for each layer with weights,
+        in declaration order, as the layer's OPS params rule gives them."""
+        return [(spec, *rule(spec, [self.blob_dims[b] for b in spec.in_blobs]))
+                for spec in self.layers if (rule := OPS[spec.op].params)]
+
     def conv_total_macs(self) -> dict[str, int]:
         """Full-compute multiply-accumulate count per conv layer."""
-        totals = {}
-        for spec in self.layers:
-            if spec.op != "conv":
-                continue
-            in_c = self.blob_dims[spec.in_blobs[0]][0]
-            _, out_h, out_w = self.blob_dims[spec.out_blob]
-            k = spec.geom.kernel
-            totals[spec.name] = out_h * out_w * spec.out_channels * in_c * k * k
-        return totals
+        return {spec.name: math.prod(ws) * math.prod(self.blob_dims[spec.out_blob][1:])
+                for spec, ws, _ in self.param_shapes() if spec.op == "conv"}
 
 
 @dataclass
@@ -211,12 +229,17 @@ def preprocess(frame: Frame, mean=0.0, scale: float = 1.0) -> FeatureMap:
     return FeatureMap(out.astype(np.float32))
 
 
-def _require_weights(spec: LayerSpec):
+def _require_weights(spec: LayerSpec, shapes: tuple[tuple, tuple] | None = None):
+    """Check that the layer's weights and biases are loaded float32 arrays
+    and, when shapes gives their (weights, biases) shapes, have them."""
     if spec.weights is None or spec.biases is None:
         raise ValueError(f"layer {spec.name!r} has no weights loaded")
-    for kind, arr in (("weights", spec.weights), ("biases", spec.biases)):
+    for i, (kind, arr) in enumerate((("weights", spec.weights), ("biases", spec.biases))):
         if arr.dtype.type is not np.float32:
             raise ValueError(f"layer {spec.name!r}: {kind} are {arr.dtype}, not float32")
+        if shapes and arr.shape != shapes[i]:
+            raise ValueError(f"layer {spec.name!r}: {kind} have shape {arr.shape}, "
+                             f"not {shapes[i]}")
 
 
 def _pad_input(x64: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
@@ -228,7 +251,9 @@ def _pad_input(x64: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
     return padded
 
 
-def _conv_dims(h: int, w: int, k: int, s: int, p: int) -> tuple[int, int]:
+def _window_dims(spec: LayerSpec, h: int, w: int) -> tuple[int, int]:
+    """Output (height, width) of a conv or pool window over an h x w input."""
+    k, s, p = spec.kernel, spec.stride, spec.pad
     out_h = (h + 2 * p - k) // s + 1
     out_w = (w + 2 * p - k) // s + 1
     if h + 2 * p < k or w + 2 * p < k:
@@ -244,8 +269,7 @@ def _check_conv(input: FeatureMap, spec: LayerSpec) -> tuple[int, int]:
     if input.channels != in_ch:
         raise ValueError(f"layer {spec.name!r}: input has {input.channels} channels, "
                          f"weights expect {in_ch}")
-    g = spec.geom
-    return _conv_dims(input.height, input.width, g.kernel, g.stride, g.pad)
+    return _window_dims(spec, input.height, input.width)
 
 
 # Unit roundoff of float64, and its smallest normal magnitude.
@@ -328,7 +352,7 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
     neither on which other pixels are computed with it nor on the
     chunking.
     """
-    k, s, p = spec.geom.kernel, spec.geom.stride, spec.geom.pad
+    k, s, p = spec.kernel, spec.stride, spec.pad
     out_ch = spec.weights.shape[0]
     w64 = spec.weights.astype(np.float64).reshape(out_ch, -1)
     b64 = spec.biases.astype(np.float64)
@@ -428,8 +452,8 @@ def pool_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     Max ignores padding (pad value is -inf); averaging zero-pads and always
     divides by k*k, window terms accumulated in (row, col) order.
     """
-    k, s, p = spec.geom.kernel, spec.geom.stride, spec.geom.pad
-    out_h, out_w = _conv_dims(input.height, input.width, k, s, p)
+    k, s, p = spec.kernel, spec.stride, spec.pad
+    out_h, out_w = _window_dims(spec, input.height, input.width)
     if spec.pool_mode == "max":
         padded = _pad_input(input.data.astype(np.float64), p, fill=-np.inf)
         acc = None
@@ -465,8 +489,11 @@ def lrn_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     acc = np.zeros_like(x64)
     for o in range(size):
         acc += sq[o:o + c]
-    denom = np.power(spec.norm_bias + (spec.alpha / size) * acc, spec.beta)
-    return FeatureMap((x64 / denom).astype(np.float32))
+    # Huge alpha or beta can overflow the denominator (its quotient is then
+    # 0) or underflow it to 0; neither may warn midway through a stream.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        denom = np.power(spec.norm_bias + (spec.alpha / size) * acc, spec.beta)
+        return FeatureMap((x64 / denom).astype(np.float32))
 
 
 def _fsum_or_nan(terms: list[float]) -> float:
@@ -531,19 +558,19 @@ def softmax_forward(input: FeatureMap) -> FeatureMap:
 def concat_forward(inputs: list[FeatureMap]) -> FeatureMap:
     if not inputs:
         raise ValueError("concat needs at least one input")
-    hw = {(fm.height, fm.width) for fm in inputs}
-    if len(hw) != 1:
-        raise ValueError(f"concat inputs disagree on spatial dims: {sorted(hw)}")
+    _concat_out(None, [fm.data.shape for fm in inputs])
     return FeatureMap(np.concatenate([fm.data for fm in inputs], axis=0))
 
 
 def elementwise_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
-    """scale: x * factor; bias: x + value.  Math in float64, stored float32."""
+    """scale: x * factor; bias: x + value.  Math in float64, stored
+    float32; results beyond the float32 range store as infinities."""
     x64 = input.data.astype(np.float64)
-    if spec.op == "scale":
-        return FeatureMap((x64 * spec.factor).astype(np.float32))
-    if spec.op == "bias":
-        return FeatureMap((x64 + spec.value).astype(np.float32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.op == "scale":
+            return FeatureMap((x64 * spec.factor).astype(np.float32))
+        if spec.op == "bias":
+            return FeatureMap((x64 + spec.value).astype(np.float32))
     raise ValueError(f"not an elementwise op: {spec.op!r}")
 
 
@@ -554,27 +581,29 @@ def _same_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
     return in_dims[0]
 
 
-def _window_out(spec: LayerSpec, dims: Dims) -> tuple[int, int]:
-    _, h, w = dims
-    g = spec.geom
-    return _conv_dims(h, w, g.kernel, g.stride, g.pad)
-
-
 def _conv_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
-    out_h, out_w = _window_out(spec, in_dims[0])
+    out_h, out_w = _window_dims(spec, *in_dims[0][1:])
     if spec.out_channels < 1:
         raise ValueError("conv needs out_ch >= 1")
     return spec.out_channels, out_h, out_w
 
 
 def _pool_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
-    return (in_dims[0][0], *_window_out(spec, in_dims[0]))
+    return (in_dims[0][0], *_window_dims(spec, *in_dims[0][1:]))
 
 
 def _fc_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
     if spec.out_features < 1:
         raise ValueError("fc needs out >= 1")
     return spec.out_features, 1, 1
+
+
+def _conv_params(spec: LayerSpec, in_dims: list[Dims]) -> tuple[tuple, tuple]:
+    return (spec.out_channels, in_dims[0][0], spec.kernel, spec.kernel), (spec.out_channels,)
+
+
+def _fc_params(spec: LayerSpec, in_dims: list[Dims]) -> tuple[tuple, tuple]:
+    return (spec.out_features, math.prod(in_dims[0])), (spec.out_features,)
 
 
 def _concat_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
@@ -585,42 +614,57 @@ def _concat_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
     return sum(c for c, _, _ in in_dims), h, w
 
 
+class Key(NamedTuple):
+    """A model-text key: the LayerSpec field it sets, the type its value
+    parses as, and its default (None for a required key)."""
+
+    field: str
+    type: type
+    default: object = None
+
+
 @dataclass(frozen=True)
 class LayerOp:
     """Everything the package knows about one layer op.
 
-    keys are the op's model-text keys in serialization order, each with its
-    default (None for a required key).  dims maps the spec and its input
-    dims to the output dims, raising ValueError on impossible geometry.
-    forward runs the layer; it names its kernel through this module's
-    globals when called, so a kernel replaced on the module (as tracing
-    and tests do) is the one that runs.
+    keys maps the op's model-text keys, in serialization order, to their
+    Key.  dims maps the spec and its input dims to the output dims,
+    raising ValueError on impossible geometry; params, set only for ops
+    with weights, maps them to the (weights, biases) shapes.  forward runs
+    the layer; it names its kernel through this module's globals when
+    called, so a kernel replaced on the module (as tracing and tests do)
+    is the one that runs.
     """
 
-    keys: dict[str, object]
+    keys: dict[str, Key]
     layer_type: LayerType
     dims: Callable[[LayerSpec, list[Dims]], Dims]
     forward: Callable[[LayerSpec, list[FeatureMap]], FeatureMap]
+    params: Callable[[LayerSpec, list[Dims]], tuple[tuple, tuple]] | None = None
 
+
+_WINDOW_KEYS = {"k": Key("kernel", int), "s": Key("stride", int, 1), "p": Key("pad", int, 0)}
 
 OPS: dict[str, LayerOp] = {
-    "conv": LayerOp({"k": None, "s": 1, "p": 0, "out_ch": None}, LayerType.CONVOLUTION,
-                    _conv_out, lambda spec, xs: conv_forward(xs[0], spec)),
-    "pool": LayerOp({"k": None, "s": 1, "p": 0, "mode": "max"}, LayerType.POOLING,
-                    _pool_out, lambda spec, xs: pool_forward(xs[0], spec)),
+    "conv": LayerOp({**_WINDOW_KEYS, "out_ch": Key("out_channels", int)},
+                    LayerType.CONVOLUTION, _conv_out,
+                    lambda spec, xs: conv_forward(xs[0], spec), _conv_params),
+    "pool": LayerOp({**_WINDOW_KEYS, "mode": Key("pool_mode", str, "max")},
+                    LayerType.POOLING, _pool_out, lambda spec, xs: pool_forward(xs[0], spec)),
     "relu": LayerOp({}, LayerType.ELEMENTWISE, _same_out,
                     lambda spec, xs: relu_forward(xs[0])),
-    "lrn": LayerOp({"r": None, "alpha": 1e-4, "beta": 0.75, "bias": 1.0},
+    "lrn": LayerOp({"r": Key("radius", int), "alpha": Key("alpha", float, 1e-4),
+                    "beta": Key("beta", float, 0.75), "bias": Key("norm_bias", float, 1.0)},
                    LayerType.ELEMENTWISE, _same_out, lambda spec, xs: lrn_forward(xs[0], spec)),
-    "fc": LayerOp({"out": None}, LayerType.FULLY_CONNECTED, _fc_out,
-                  lambda spec, xs: fc_forward(xs[0], spec)),
+    "fc": LayerOp({"out": Key("out_features", int)}, LayerType.FULLY_CONNECTED, _fc_out,
+                  lambda spec, xs: fc_forward(xs[0], spec), _fc_params),
     "softmax": LayerOp({}, LayerType.ELEMENTWISE, _same_out,
                        lambda spec, xs: softmax_forward(xs[0])),
     "concat": LayerOp({}, LayerType.CONCAT, _concat_out,
                       lambda spec, xs: concat_forward(xs)),
-    "scale": LayerOp({"factor": None}, LayerType.ELEMENTWISE, _same_out,
+    "scale": LayerOp({"factor": Key("factor", float)}, LayerType.ELEMENTWISE, _same_out,
                      lambda spec, xs: elementwise_forward(xs[0], spec)),
-    "bias": LayerOp({"value": None}, LayerType.ELEMENTWISE, _same_out,
+    "bias": LayerOp({"value": Key("value", float)}, LayerType.ELEMENTWISE, _same_out,
                     lambda spec, xs: elementwise_forward(xs[0], spec)),
 }
 
@@ -632,9 +676,9 @@ class Session:
     False every frame runs the plain full forward (each frame is a flush
     and nothing is retained).  With it True the model input must hold at
     least one matcher block, or no frame could ever be matched.  Every
-    conv and fc layer must hold float32 weights and biases, and mean must
-    give one value or one per input channel; all three are checked here,
-    before any frame.
+    conv and fc layer must hold float32 weights and biases of the shapes
+    ModelGraph.param_shapes gives, and mean must give one value or one per
+    input channel; all three are checked here, before any frame.
 
     A cache-assisted frame is matched with the cache's anchor (the last
     searched match since the flush) as prior: it is verified at the
@@ -661,9 +705,8 @@ class Session:
             raise ValueError(f"model input {in_w}x{in_h} is smaller than the matcher's "
                              f"{block}x{block} block; use a smaller block_size or "
                              f"cache_enabled=False")
-        for spec in graph.layers:
-            if spec.op in ("conv", "fc"):
-                _require_weights(spec)
+        for spec, *shapes in graph.param_shapes():
+            _require_weights(spec, shapes)
         self.cache = CacheStore(expire_n=expire_n)
         self.cache_enabled = cache_enabled
         self.mean = _channel_means(mean, graph.input_dims[0])
@@ -704,7 +747,7 @@ class Session:
                         raise RuntimeError(f"no cached output for layer {spec.name!r}")
                     out, macs, copied = conv_forward_cached(inputs[0], spec, stored, out_maps)
                 per_layer.append(ConvLayerMacs(spec.name, macs, copied, total,
-                                               inputs[0].channels, spec.geom.kernel))
+                                               inputs[0].channels, spec.kernel))
                 conv_outputs[spec.name] = out
             blobs[spec.out_blob] = out
             blob_maps[spec.out_blob] = out_maps

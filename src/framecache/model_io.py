@@ -8,8 +8,10 @@ Model format, one layer per line:
 The header defines the input blob, always named "data".  Types and their
 keys: conv (k, s=1, p=0, out_ch), pool (k, s=1, p=0, mode=max|avg), relu,
 lrn (r, alpha=1e-4, beta=0.75, bias=1.0), fc (out), softmax, concat,
-scale (factor), bias (value).  '#' starts a comment.  Layer order is
-execution order; consuming a blob produced by a later line is a cycle.
+scale (factor), bias (value); engine.OPS names the LayerSpec field and
+value type of each.  Float values must be finite, and lrn needs bias > 0
+and alpha >= 0.  '#' starts a comment.  Layer order is execution order;
+consuming a blob produced by a later line is a cycle.
 
 Weights are a raw little-endian float32 stream, one segment per
 parameterized layer in declaration order: conv as [out_ch*in_ch*k*k
@@ -21,24 +23,10 @@ PPM's interleaved pixels are stored planar in Frame.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
 from .core import Frame
 from .engine import OPS, LayerSpec, ModelGraph
-from .regions import LayerGeom
-
-# Model-text key → (value type, the LayerSpec field it sets, or the
-# LayerGeom field for window keys).  Which keys each op takes,
-# and their defaults, are in engine.OPS.
-_KEY_FIELDS = {
-    "k": (int, "kernel"), "s": (int, "stride"), "p": (int, "pad"), "r": (int, "radius"),
-    "out_ch": (int, "out_channels"), "out": (int, "out_features"),
-    "mode": (str, "pool_mode"), "alpha": (float, "alpha"), "beta": (float, "beta"),
-    "bias": (float, "norm_bias"), "factor": (float, "factor"), "value": (float, "value"),
-}
-_GEOM_FIELDS = {f.name for f in fields(LayerGeom)}
 
 
 class ModelParseError(ValueError):
@@ -102,7 +90,7 @@ def parse_model(text: str) -> ModelGraph:
         if not out_blob:
             _fail(no, "missing out= blob")
         keys = OPS[ltype].keys
-        kv = {}
+        values = {}
         for tok in toks[2:-2]:
             if "=" not in tok:
                 _fail(no, f"expected key=value, got {tok!r}")
@@ -110,30 +98,30 @@ def parse_model(text: str) -> ModelGraph:
             if key not in keys:
                 _fail(no, f"unknown key {key!r} for type {ltype!r}")
             try:
-                kv[key] = _KEY_FIELDS[key][0](raw)
+                values[keys[key].field] = keys[key].type(raw)
             except ValueError:
                 _fail(no, f"bad numeric value for {key}: {raw!r}")
-        missing = [key for key, default in keys.items() if default is None and key not in kv]
+        missing = [key for key, k in keys.items() if k.default is None and k.field not in values]
         if missing:
             _fail(no, f"{ltype} requires {sorted(missing)}")
-        for key, default in keys.items():
-            kv.setdefault(key, default)
+        for k in keys.values():
+            values.setdefault(k.field, k.default)
         if out_blob in producer:
             _fail(no, f"duplicate blob producer for {out_blob!r}")
         producer[out_blob] = idx
-        raw_layers.append((no, name, ltype, kv, in_blobs, out_blob))
+        raw_layers.append((no, name, ltype, values, in_blobs, out_blob))
 
     # Second pass: check wiring, infer dimensions, build specs.
     blob_dims: dict[str, tuple[int, int, int]] = {ModelGraph.INPUT_BLOB: (in_c, in_h, in_w)}
     layers: list[LayerSpec] = []
-    for idx, (no, name, ltype, kv, in_blobs, out_blob) in enumerate(raw_layers):
+    for idx, (no, name, ltype, values, in_blobs, out_blob) in enumerate(raw_layers):
         for b in in_blobs:
             if b not in producer:
                 _fail(no, f"undefined blob {b!r}")
             if producer[b] >= idx:
                 _fail(no, f"cycle detected: blob {b!r} is produced later")
         try:
-            spec = _build_spec(name, ltype, kv, in_blobs, out_blob)
+            spec = LayerSpec(name, ltype, in_blobs, out_blob, **values)
             blob_dims[out_blob] = OPS[ltype].dims(spec, [blob_dims[b] for b in in_blobs])
         except ValueError as e:
             _fail(no, str(e))
@@ -142,49 +130,23 @@ def parse_model(text: str) -> ModelGraph:
     return ModelGraph(input_dims=(in_c, in_h, in_w), layers=layers, blob_dims=blob_dims)
 
 
-def _build_spec(name: str, ltype: str, kv: dict, in_blobs: list[str],
-                out_blob: str) -> LayerSpec:
-    geom_kw, spec_kw = {}, {}
-    for key, value in kv.items():
-        attr = _KEY_FIELDS[key][1]
-        (geom_kw if attr in _GEOM_FIELDS else spec_kw)[attr] = value
-    geom = LayerGeom(OPS[ltype].layer_type, **geom_kw)
-    return LayerSpec(name=name, op=ltype, geom=geom, in_blobs=in_blobs,
-                     out_blob=out_blob, **spec_kw)
-
-
 def serialize_model(graph: ModelGraph) -> str:
     """Model text for a graph; parse_model(serialize_model(g)) equals g."""
     c, h, w = graph.input_dims
     out = [f"input {c} {h} {w}"]
     for s in graph.layers:
         parts = [s.name, s.op]
-        for key in OPS[s.op].keys:
-            attr = _KEY_FIELDS[key][1]
-            parts.append(f"{key}={getattr(s.geom if attr in _GEOM_FIELDS else s, attr)}")
+        for key, k in OPS[s.op].keys.items():
+            parts.append(f"{key}={getattr(s, k.field)}")
         parts.append("in=" + ",".join(s.in_blobs))
         parts.append(f"out={s.out_blob}")
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 
 
-def _param_shapes(graph: ModelGraph) -> list[tuple[LayerSpec, tuple, tuple]]:
-    """(layer, weight shape, bias shape) for parameterized layers, in order."""
-    shapes = []
-    for spec in graph.layers:
-        if spec.op == "conv":
-            in_c = graph.blob_dims[spec.in_blobs[0]][0]
-            k = spec.geom.kernel
-            shapes.append((spec, (spec.out_channels, in_c, k, k), (spec.out_channels,)))
-        elif spec.op == "fc":
-            c, h, w = graph.blob_dims[spec.in_blobs[0]]
-            shapes.append((spec, (spec.out_features, c * h * w), (spec.out_features,)))
-    return shapes
-
-
 def expected_weight_bytes(graph: ModelGraph) -> int:
     return 4 * sum(int(np.prod(ws)) + int(np.prod(bs))
-                   for _, ws, bs in _param_shapes(graph))
+                   for _, ws, bs in graph.param_shapes())
 
 
 def load_weights(blob: bytes, graph: ModelGraph) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -201,7 +163,7 @@ def load_weights(blob: bytes, graph: ModelGraph) -> dict[str, tuple[np.ndarray, 
     flat = np.frombuffer(blob, dtype="<f4")
     store = {}
     pos = 0
-    for spec, ws, bs in _param_shapes(graph):
+    for spec, ws, bs in graph.param_shapes():
         wn = int(np.prod(ws))
         bn = int(np.prod(bs))
         w = flat[pos:pos + wn].reshape(ws)
@@ -216,7 +178,7 @@ def load_weights(blob: bytes, graph: ModelGraph) -> dict[str, tuple[np.ndarray, 
 def serialize_weights(graph: ModelGraph) -> bytes:
     """Concatenate the graph's loaded weights back into blob form."""
     chunks = []
-    for spec, _, _ in _param_shapes(graph):
+    for spec, _, _ in graph.param_shapes():
         if spec.weights is None or spec.biases is None:
             raise ValueError(f"layer {spec.name!r} has no weights to serialize")
         chunks.append(np.ascontiguousarray(spec.weights, dtype="<f4").tobytes())
@@ -228,7 +190,7 @@ def random_weights(graph: ModelGraph, seed: int = 0) -> bytes:
     """Seeded Gaussian weight blob (std 1/sqrt(fan-in), zero biases)."""
     rng = np.random.default_rng(seed)
     chunks = []
-    for _, ws, bs in _param_shapes(graph):
+    for _, ws, bs in graph.param_shapes():
         fan_in = int(np.prod(ws[1:]))
         w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=ws).astype("<f4")
         b = np.zeros(bs, dtype="<f4")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from framecache import engine
-from framecache import (FeatureMap, Frame, LayerGeom, LayerSpec, LayerType,
-                        MatcherConfig, Rect, RegionMapping, Session,
-                        build_reuse_bitmap, concat_forward, conv_forward,
+from framecache import (FeatureMap, Frame, LayerSpec, MatcherConfig, Rect,
+                        RegionMapping, Session, build_reuse_bitmap,
+                        concat_forward, conv_forward,
                         conv_forward_cached, elementwise_forward, fc_forward,
                         load_weights, lrn_forward, parse_model, pool_forward,
                         preprocess, random_weights, relu_forward,
@@ -36,9 +36,8 @@ def bits(arr) -> np.ndarray:
 
 def conv_spec(k, out_ch, s=1, p=0, *, in_ch, seed=0, name="c") -> LayerSpec:
     rng = np.random.default_rng(seed)
-    spec = LayerSpec(name, "conv",
-                     LayerGeom(LayerType.CONVOLUTION, kernel=k, stride=s, pad=p),
-                     ["data"], "out", out_channels=out_ch)
+    spec = LayerSpec(name, "conv", ["data"], "out", kernel=k, stride=s, pad=p,
+                     out_channels=out_ch)
     spec.weights = rng.normal(size=(out_ch, in_ch, k, k)).astype(np.float32)
     spec.biases = rng.normal(size=out_ch).astype(np.float32)
     return spec
@@ -212,9 +211,8 @@ class TestConvForward:
 
 class TestPoolForward:
     def pool_spec(self, k, s=1, p=0, mode="max"):
-        return LayerSpec("p", "pool",
-                         LayerGeom(LayerType.POOLING, kernel=k, stride=s, pad=p),
-                         ["data"], "out", pool_mode=mode)
+        return LayerSpec("p", "pool", ["data"], "out", kernel=k, stride=s, pad=p,
+                         pool_mode=mode)
 
     def test_max_2x2(self):
         x = fmap(np.arange(16).reshape(1, 4, 4))
@@ -244,8 +242,8 @@ class TestPoolForward:
 
 class TestLrnForward:
     def lrn_spec(self, r, alpha=1e-4, beta=0.75, bias=1.0):
-        return LayerSpec("n", "lrn", LayerGeom(LayerType.ELEMENTWISE), ["data"], "out",
-                         radius=r, alpha=alpha, beta=beta, norm_bias=bias)
+        return LayerSpec("n", "lrn", ["data"], "out", radius=r, alpha=alpha, beta=beta,
+                         norm_bias=bias)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):
@@ -269,8 +267,7 @@ class TestLrnForward:
 
 
 def fc_layer(weights, biases) -> LayerSpec:
-    spec = LayerSpec("f", "fc", LayerGeom(LayerType.FULLY_CONNECTED),
-                     ["data"], "out", out_features=len(biases))
+    spec = LayerSpec("f", "fc", ["data"], "out", out_features=len(biases))
     spec.weights = np.asarray(weights, dtype=np.float32)
     spec.biases = np.asarray(biases, dtype=np.float32)
     return spec
@@ -654,16 +651,24 @@ class TestConcatElementwise:
         assert np.array_equal(out.data, [[[0.0, 0.0], [2.5, 3.0]]])
 
     def test_scale(self):
-        spec = LayerSpec("s", "scale", LayerGeom(LayerType.ELEMENTWISE),
-                         ["data"], "out", factor=0.5)
+        spec = LayerSpec("s", "scale", ["data"], "out", factor=0.5)
         out = elementwise_forward(fmap([[[3.0, -4.0]]]), spec)
         assert np.array_equal(out.data, [[[1.5, -2.0]]])
 
     def test_bias(self):
-        spec = LayerSpec("b", "bias", LayerGeom(LayerType.ELEMENTWISE),
-                         ["data"], "out", value=-1.0)
+        spec = LayerSpec("b", "bias", ["data"], "out", value=-1.0)
         out = elementwise_forward(fmap([[[3.0, 0.25]]]), spec)
         assert np.array_equal(out.data, [[[2.0, -0.75]]])
+
+    @pytest.mark.parametrize("layer,want", [("s scale factor=1e39", np.inf),
+                                            ("n lrn r=1 alpha=1e308", 0.0)])
+    def test_out_of_range_values_store_without_warning(self, layer, want):
+        # pytest turns a RuntimeWarning into an error: beyond the float32
+        # range scale stores +inf, and lrn's overflowing denominator gives 0.
+        graph = parse_model(f"input 1 4 4\n{layer} in=data out=o\n")
+        out, _ = Session(graph, cache_enabled=False).run_frame(
+            Frame(np.full((1, 4, 4), 7, dtype=np.uint8)))
+        assert np.array_equal(bits(out.data), bits(np.full((1, 4, 4), want)))
 
 
 class TestReuseBitmap:
@@ -993,6 +998,20 @@ class TestSession:
     def test_graph_without_weights_rejected(self):
         with pytest.raises(ValueError, match="no weights loaded"):
             Session(parse_model(MODEL_TEXT))
+
+    @pytest.mark.parametrize("layer,field,shape", [("f", "weights", (4, 7)),
+                                                   ("f", "biases", (5,)),
+                                                   ("c", "weights", (2, 3, 5, 5)),
+                                                   ("c", "biases", (3,))])
+    def test_weights_of_the_wrong_shape_rejected(self, layer, field, shape):
+        # Caught here, not on the first frame (fc would see 392 inputs).
+        graph = parse_model("input 3 16 16\n"
+                            "c conv k=3 out_ch=2 in=data out=a\n"
+                            "f fc out=4 in=a out=b\n")
+        load_weights(random_weights(graph, 0), graph)
+        setattr(graph.layer(layer), field, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(ValueError, match=f"layer '{layer}': {field} have shape"):
+            Session(graph)
 
     def test_mean_of_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="mean has 2 entries for 3 channels"):

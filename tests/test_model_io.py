@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from framecache import (Frame, ModelParseError, expected_weight_bytes,
                         load_frame_pnm, load_weights, parse_model,
                         random_weights, serialize_model, serialize_weights,
                         write_frame_pnm)
+from framecache.engine import OPS
 
 BASIC = """\
 input 3 227 227
@@ -27,6 +30,12 @@ sm softmax in=b8 out=prob
 """
 
 AVG_POOL = "p2 pool k=2 mode=avg in=b7 out=b9\n"
+
+# A value for every model-text key: REQUIRED fills the required keys of a
+# base line, and OTHER differs from both that value and the key's default.
+REQUIRED = {"k": 3, "out_ch": 4, "r": 1, "out": 3, "factor": 2.0, "value": 1.0}
+OTHER = {"k": 5, "s": 2, "p": 1, "out_ch": 5, "mode": "avg", "r": 2, "alpha": 0.25,
+         "beta": 0.5, "bias": 2.0, "out": 6, "factor": 0.5, "value": -1.5}
 
 
 class TestParseModel:
@@ -140,6 +149,31 @@ class TestParseModel:
                 assert (a.alpha, a.beta, a.norm_bias, a.factor, a.value) == \
                     (b.alpha, b.beta, b.norm_bias, b.factor, b.value)
         assert g.layer("p2").pool_mode == "avg"
+
+    @pytest.mark.parametrize("op,key", [(op, key) for op in OPS for key in OPS[op].keys])
+    def test_every_key_reaches_its_field_and_back(self, op, key):
+        keys = OPS[op].keys
+        base = {k: REQUIRED[k] for k, spec_key in keys.items() if spec_key.default is None}
+
+        def parse(values):
+            text = " ".join(f"{k}={v}" for k, v in values.items())
+            return parse_model(f"input 2 12 12\nl {op} {text} in=data out=o\n")
+
+        graph = parse({**base, key: OTHER[key]})
+        a, b = parse(base).layer("l"), graph.layer("l")
+        changed = {f.name for f in fields(b) if getattr(a, f.name) != getattr(b, f.name)}
+        assert changed == {keys[key].field}
+        assert getattr(b, keys[key].field) == OTHER[key]
+        assert b.geom.layer_type is OPS[op].layer_type
+        assert f"{key}={OTHER[key]}" in serialize_model(graph).split()
+
+    @pytest.mark.parametrize("layer", ["n lrn r=1 bias=-5", "n lrn r=1 bias=0",
+                                       "n lrn r=1 alpha=-1e-4", "n lrn r=1 beta=nan",
+                                       "s scale factor=nan", "s scale factor=inf",
+                                       "b bias value=-1e400"])
+    def test_values_outside_the_domain_rejected(self, layer):
+        with pytest.raises(ModelParseError, match="line 2: layer"):
+            parse_model(f"input 1 4 4\n{layer} in=data out=o\n")
 
     def test_serialized_text(self):
         # Every key of every op, defaults written out, in a fixed order.
