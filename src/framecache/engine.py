@@ -65,7 +65,8 @@ class LayerSpec:
 
     OPS names the field each model-text key sets; geom follows from the op
     and kernel/stride/pad.  Building a spec checks its window, that its
-    op's float keys are finite, and lrn's bias > 0 and alpha >= 0.
+    op's float keys are finite, and lrn's bias > 0, alpha >= 0 and
+    bias**beta in float64's normal range or above.
     weights/biases stay None until a weight blob is loaded (conv and fc
     only), and must then be float32.
     """
@@ -110,6 +111,11 @@ class LayerSpec:
         if self.op == "lrn" and (self.norm_bias <= 0 or self.alpha < 0):
             raise ValueError(f"layer {self.name!r}: lrn needs bias > 0 and alpha >= 0, "
                              f"got bias={self.norm_bias}, alpha={self.alpha}")
+        # Where the window's squares sum to 0 the quotient is x / bias**beta,
+        # which is NaN at x = 0 once bias**beta underflows to 0.
+        if self.op == "lrn" and self.beta * math.log(self.norm_bias) < math.log(_TINY64):
+            raise ValueError(f"layer {self.name!r}: lrn bias**beta is below float64's "
+                             f"normal range, got bias={self.norm_bias}, beta={self.beta}")
         self.geom  # a bad window fails here, not on the first frame
 
     @property
@@ -175,12 +181,13 @@ class CacheStore:
                match: MatchResult | None):
         """Install a finished frame's state in one step, so a frame that
         fails midway leaves the previous frame's state whole.  match is
-        the frame's MatchResult, None on a flush.  A flush clears the
-        anchor; a searched match replaces it."""
+        the frame's MatchResult, None on a flush.  A flush, or a match
+        that covers nothing (as the matcher's cut gate returns), clears the
+        anchor; a searched match replaces it; a kept prediction leaves it."""
         self.prev_frame = frame
         self.conv_outputs = conv_outputs
         self.frames_since_flush = 1 if flushed else self.frames_since_flush + 1
-        if flushed:
+        if flushed or not match.match_ratio:
             self.anchor = None
         elif match.stats.searches:
             self.anchor = match
@@ -684,14 +691,17 @@ class Session:
     searched match since the flush) as prior: it is verified at the
     anchor's motion first and searched only when its coverage falls below
     matching.PRIOR_KEEP of the anchor's.  An anchor that covered less than
-    matching.PRIOR_MIN, as a scene cut leaves, predicts nothing: the next
-    frame searches, so a shot that continues after a cut is reused from its
-    second frame on, as without prediction.
+    matching.PRIOR_MIN predicts nothing.  A scene cut leaves no anchor: the
+    matcher's cut gate returns an empty match there, unsearched, and a
+    match that covers nothing clears the anchor as a flush does.  So the
+    next frame searches, and a shot that continues after a cut is reused
+    from its second frame on, as without prediction.
 
     last_match is None after a flush, and after a cache-assisted frame it
     is the MatchResult that frame's reuse came from (its match_ratio is
     the frame's FrameMetrics.match_ratio); a kept prediction has
-    stats.searches == 0.  It is set only when the frame finishes.
+    stats.searches == 0 and match_ratio > 0, a cut searches == 0 and
+    match_ratio == 0.  It is set only when the frame finishes.
     """
 
     def __init__(self, graph: ModelGraph, matcher_cfg: MatcherConfig | None = None,

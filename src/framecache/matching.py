@@ -20,15 +20,27 @@ search strategies score, range-check, count and rank their candidates
 through one method, ``_BlockBatch.best``; a strategy only chooses which
 offsets to try.
 
+The cut gate runs before Step 2, and only where the call would search.
+It decides from block sums whether one motion could verify PRIOR_MIN of
+the grid.  A block's mean-difference SSE bounds its SSE from below
+(Cauchy-Schwarz; the successive elimination bound of Li and Salari, IEEE
+TIP 1995), so at any motion the blocks whose bound clears threshold_t
+include every block Step 4 would verify there.  The gate counts them at
+the motions of a coarse-to-fine search over block sums, as in the
+mean-pyramid motion search of Nam et al. (IEEE TCSVT 1995).  Where no
+count reaches the bar, as across a scene cut, the call returns an empty
+result (no mappings, match_ratio 0, no searches) instead of searching;
+elsewhere the pipeline runs exactly as it would without the gate.
+
 Temporal motion prediction: given ``prior``, an earlier searched
 MatchResult, match_frames first runs Steps 1, 4 and 5 alone at the prior's
 global motion, and keeps that result (with no searches) when it covers at
 least PRIOR_KEEP of what the prior covered.  Otherwise it runs the same
-pipeline a call without ``prior`` runs, so the result is the one that call
-returns.  A prior that covered less than PRIOR_MIN of the frame, as a
-scene cut leaves, found no dominant motion to predict from, so the call
-searches.  This is the motion-vector prediction of H.264/AVC and HEVC,
-applied to the one global motion.
+pipeline a call without ``prior`` runs, cut gate included, so the result
+is the one that call returns.  A prior that covered less than PRIOR_MIN of
+the frame found no dominant motion to predict from, so the call searches.
+This is the motion-vector prediction of H.264/AVC and HEVC, applied to the
+one global motion.
 """
 
 from __future__ import annotations
@@ -44,11 +56,12 @@ PSNR_MAX = 100.0
 
 # Share of the prior's match_ratio a prediction must reach to be kept.
 PRIOR_KEEP = 0.9
-# Least match_ratio a prior must have to be tried.  A search across a scene
-# cut covers at most about 2% of the frame, at a motion drawn from a few
-# chance matches; a prediction there clears PRIOR_KEEP easily yet can lose
-# most of the reuse a search of the next shot finds.  Below the bar the call
-# searches, which costs only time.
+# The share of the frame below which a match found no dominant motion.  A
+# prior must cover at least this much to be tried: a search across a scene
+# cut covers at most a few percent of the frame, at a motion drawn from a
+# few chance matches, and a prediction there could clear PRIOR_KEEP yet
+# lose most of the reuse a search of the next shot finds.  The cut gate
+# skips the search where no motion could verify this share of the grid.
 PRIOR_MIN = 0.5
 
 # Large/small diamond search patterns; offsets relative to the pattern center.
@@ -100,7 +113,9 @@ class BlockMatch:
 class MatchStats:
     """Work counters, mostly for tests and the matcher benchmark."""
 
-    searches: int = 0        # Step-2 block_search invocations (0 for a kept prediction)
+    # Step-2 block searches: 0 for a kept prediction and for a pair the cut
+    # gate rejects (which covers nothing).
+    searches: int = 0
     # SSEs the call scored, all steps.  Each step scores a (block, offset)
     # pair at most once, but after a rejected prediction the search and
     # Step 4 may score pairs the prediction's verification already scored.
@@ -164,12 +179,114 @@ def _window_sse(cur_rows, ref16, h: int, w: int, ry, rx) -> np.ndarray:
     """SSE between the current-frame windows cur_rows (as _gather returns
     them) and the h x w windows of ref at (ry, rx).
 
-    The frames are int16 copies of 8-bit data, so differences are exact and
-    the int64 sums equal the exact squared-error sums.
+    The frames are int16 copies of 8-bit data, so differences are exact.  A
+    window's SSE is at most its sample count times 255**2, so it is summed
+    in int32 where that fits and in int64 otherwise; either way the sums
+    are the exact squared-error sums.
     """
     d = _gather(ref16, h, w, ry, rx)
     d -= cur_rows
-    return np.einsum("nk,nk->n", d, d, dtype=np.int64).astype(np.float64)
+    acc = np.int32 if d.shape[1] * 65025 < 2**31 else np.int64
+    return np.einsum("nk,nk->n", d, d, dtype=acc).astype(np.float64)
+
+
+def _run_sums(x: np.ndarray, n: int, shift: int, length: int) -> np.ndarray:
+    """out[i] = x[i] + x[i + shift] + ... + x[i + (n - 1) * shift] for
+    i < length, in about 2 * log2(n) passes over x by doubling."""
+    out, pos, span, width = None, 0, x, 1
+    while True:
+        if n & width:
+            part = span[pos * shift:pos * shift + length]
+            out = part.copy() if out is None else np.add(out, part, out=out)
+            pos += width
+        if 2 * width > n:
+            return out
+        span = span[:-width * shift] + span[width * shift:]
+        width *= 2
+
+
+def _is_cut(cur16, ref16, rows: int, cols: int, cfg: MatcherConfig) -> bool:
+    """The cut gate: True when no motion the gate tries could verify
+    PRIOR_MIN of the grid's blocks.
+
+    It compares block sums, not pixels.  By Cauchy-Schwarz a block's SSE at
+    a motion is at least its mean-difference SSE, the sum over channels of
+    D**2 / bs**2 with D the difference of the two blocks' channel sums, so
+    the blocks whose bound clears threshold_t include every block Step 4
+    would verify at that motion.  Motions are searched coarse to fine over
+    [-r, r]**2, r capped by the frame as _BlockBatch caps it: steps of
+    bs // 2 to the lowest mean bound over the blocks inside ref, among the
+    motions that keep PRIOR_MIN of the grid inside ref (no other can reach
+    the bar); then the bs x bs offsets from step - 1 before that motion to
+    step after it, at each of which the in-range blocks whose bound clears
+    the threshold are counted.  The pair is a cut if no count reaches
+    PRIOR_MIN of the grid.
+    """
+    bs = cfg.block_size
+    c, h, w = cur16.shape
+    r = min(cfg.search_range, max(h - bs, w - bs))
+    step = max(1, bs // 2)
+    sums = cur16[:, :rows * bs, :cols * bs].reshape(c, rows, bs, cols * bs)
+    sums = sums.sum(axis=2, dtype=np.int32).reshape(c, rows, cols, bs).sum(axis=3, dtype=np.int32)
+    sums = sums[:, :, None, :, None]
+    # The sum of every bs x bs window of ref, on a zero canvas padded by p,
+    # so that box[:, y + p, x + p] is the window at (x, y) and every motion
+    # tried reads inside the canvas.  The sums are exact integers.
+    acc = next(t for t in (np.uint16, np.int32, np.int64) if bs * bs * 255 <= np.iinfo(t).max)
+    sq = np.int32 if (bs * bs * 255) ** 2 < 2**31 else np.int64
+    p = r + bs
+    hp, wp = h + 2 * p, w + 2 * p
+    size = c * hp * wp
+    canvas = np.zeros(size + bs * wp + bs, acc)
+    canvas[:size].reshape(c, hp, wp)[:, p:p + h, p:p + w] = ref16
+    box = _run_sums(_run_sums(canvas, bs, wp, size + bs), bs, 1, size).reshape(c, hp, wp)
+    by, bx = np.arange(rows) * bs, np.arange(cols) * bs
+
+    def bounds(ref_sums, part=slice(None)) -> np.ndarray:
+        """The bound times bs**2 of block (i, j) of the block rows part at
+        motion (a, b), as t[i, a, j, b], from ref_sums[:, i, a, j, b]."""
+        d = np.subtract(ref_sums, sums[:, part], dtype=sq)
+        d *= d
+        return d.sum(axis=0, dtype=np.float64)
+
+    def in_range_sum(t, my, mx, part=slice(None)):
+        """The sum of t[:, a, :, b] over the blocks of the block rows part
+        in range at motion (mx[b], my[a]), and their number."""
+        y = by[part]
+        rows_in = (y + my[:, None] >= 0) & (y + my[:, None] <= h - bs) & (abs(my[:, None]) <= r)
+        cols_in = (bx + mx[:, None] >= 0) & (bx + mx[:, None] <= w - bs) & (abs(mx[:, None]) <= r)
+        total = np.einsum("iab,ai->ab", np.einsum("iajb,bj->iab", t, cols_in.astype(float)),
+                          rows_in.astype(float))
+        return total, np.outer(rows_in.sum(axis=1), cols_in.sum(axis=1))
+
+    bar = PRIOR_MIN * rows * cols
+    coarse = np.arange(-(r // step) * step, r + 1, step)
+    s0, s1, s2 = box.strides
+    at_coarse = np.lib.stride_tricks.as_strided(
+        box[:, coarse[0] + p:, coarse[0] + p:], (c, rows, len(coarse), cols, len(coarse)),
+        (s0, bs * s1, step * s1, bs * s2, step * s2), writeable=False)
+    # Slices of block rows, each holding about as many bounds as the fine
+    # pass, so that small blocks do not blow up memory.
+    total = n = 0
+    per = max(1, h * w // (cols * len(coarse) ** 2))
+    for i in range(0, rows, per):
+        part = slice(i, i + per)
+        part_total, part_n = in_range_sum(bounds(at_coarse[:, part], part), coarse, coarse, part)
+        total, n = total + part_total, n + part_n
+    mean = np.divide(total, n, out=np.full(n.shape, np.inf), where=n >= bar)
+    # Ties prefer small |dx| + |dy|, as the block search's do.
+    near = abs(coarse)[:, None] + abs(coarse)[None, :]
+    a, b = np.unravel_index(np.lexsort((near.ravel(), mean.ravel()))[0], mean.shape)
+    # bs consecutive offsets per axis: block i at the a-th reads window row
+    # i * bs + y0 + a, so the window rows of all blocks and offsets are one
+    # run of rows * bs.
+    y0, x0 = coarse[a] - step + 1, coarse[b] - step + 1
+    t = bounds(box[:, y0 + p:y0 + p + rows * bs, x0 + p:x0 + p + cols * bs]
+               .reshape(c, rows, bs, cols, bs))
+    # PSNR above threshold_t, for an SSE bound of t / bs**2 over c * bs**2 samples.
+    lim = 65025.0 * c * bs**4 * 10.0 ** (-cfg.threshold_t / 10)
+    hits, _ = in_range_sum((t < lim).astype(float), y0 + np.arange(bs), x0 + np.arange(bs))
+    return bool(hits.max() < bar)
 
 
 class _BlockBatch:
@@ -411,7 +528,9 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
     == 0, if its match_ratio is at least PRIOR_KEEP * prior.match_ratio.
     Otherwise run the pipeline of a call without prior, whose result it
     returns; its psnr_evals then add the verification's to that call's.
-    A prior whose match_ratio is below PRIOR_MIN is not tried.
+    A prior whose match_ratio is below PRIOR_MIN is not tried.  Before the
+    search, the cut gate (_is_cut) may return the empty result: no
+    mappings, motion (0, 0), match_ratio 0 and stats.searches == 0.
     """
     cfg = cfg or MatcherConfig()
     if cur.data.shape != ref.data.shape:
@@ -440,6 +559,9 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
         predicted = finish(prior.global_motion, np.full(rows * cols, np.nan))
         if predicted.match_ratio >= PRIOR_KEEP * prior.match_ratio:
             return predicted
+
+    if _is_cut(cur16, ref16, rows, cols, cfg):
+        return MatchResult([], (0, 0), 0.0, 0, stats)
 
     searched = np.flatnonzero((row % k == 0) & (col % k == 0))
     batch = _BlockBatch(cur16, ref16, bx[searched], by[searched], bs, bs, cfg, stats)

@@ -925,8 +925,10 @@ class TestSession:
     @pytest.mark.parametrize("cut", [False, True])
     def test_failed_predicted_frame_leaves_cache_whole(self, monkeypatch, cut):
         # Frame 2, the first matched with a prior, fails in c2: either its
-        # prediction is kept or (after a cut) it searches.  Frame 3 must then
-        # run exactly as in a session that never saw frame 2, anchor included.
+        # prediction is kept or (across a cut) the cut gate returns the
+        # empty match; both are unsearched, and only the prediction covers
+        # anything.  Frame 3 must then run exactly as in a session that
+        # never saw frame 2, anchor included.
         # 8-pixel blocks let the pan cover more than PRIOR_MIN of the frame.
         cfg = MatcherConfig(block_size=8, threshold_t=20.0, skip_k=1, search_range=8)
         frames = synth_sequence(4, 32, 32, dx=2, dy=1, noise=0.005, seed=23)
@@ -953,7 +955,8 @@ class TestSession:
         with pytest.raises(RuntimeError, match="injected"):
             sess.run_frame(frames[2])
         monkeypatch.undo()
-        assert (matched[0].stats.searches > 0) == cut
+        assert matched[0].stats.searches == 0
+        assert (matched[0].match_ratio > 0) != cut
         out, metrics = sess.run_frame(frames[3])
 
         clean = make_session(matcher_cfg=cfg)
@@ -967,10 +970,10 @@ class TestSession:
         assert sess.cache.frames_since_flush == clean.cache.frames_since_flush == 3
 
     def test_shot_after_a_cut_is_searched_and_reused(self):
-        # A cut leaves an anchor that covers next to nothing.  The next frame
-        # of the new shot searches rather than keep a prediction from it, and
-        # reuses as a session that started on that shot does; the one after
-        # it keeps a prediction from the new anchor.
+        # A cut leaves no anchor: the cut gate returns an empty, unsearched
+        # match.  The next frame of the new shot searches, and reuses as a
+        # session that started on that shot does; the one after it keeps a
+        # prediction from the new anchor.
         cfg = MatcherConfig(block_size=8, threshold_t=25.0, skip_k=1, search_range=8)
         first = synth_sequence(1, 32, 32, seed=41)[0]
         pan = synth_sequence(3, 32, 32, dx=2, dy=1, noise=0.005, seed=43)
@@ -978,22 +981,42 @@ class TestSession:
         runs = []
         for f in [first] + pan:
             out, metrics = sess.run_frame(f)
-            runs.append((out, metrics, sess.last_match))
-        assert [m.flushed for _, m, _ in runs] == [True, False, False, False]
-        cut = runs[1][2]
-        assert cut.stats.searches > 0 and cut.match_ratio < PRIOR_MIN
+            runs.append((out, metrics, sess.last_match, sess.cache.anchor))
+        assert [m.flushed for _, m, _, _ in runs] == [True, False, False, False]
+        _, _, cut, anchor = runs[1]
+        assert cut.stats.searches == 0 and cut.match_ratio == 0 and anchor is None
 
         fresh = make_session(matcher_cfg=cfg)
         fresh.run_frame(pan[0])
         want_out, want = fresh.run_frame(pan[1])
-        out, metrics, match = runs[2]
+        out, metrics, match, anchor = runs[2]
         assert match.stats.searches > 0 and match == fresh.last_match
         assert metrics.copied_pixels == want.copied_pixels > 0
         assert np.array_equal(bits(out.data), bits(want_out.data))
-        assert sess.cache.anchor is match
+        assert anchor is match
 
-        _, metrics, match = runs[3]
+        _, metrics, match, _ = runs[3]
         assert match.stats.searches == 0 and metrics.copied_pixels > 0
+
+    def test_cut_mid_shot_clears_the_anchor(self):
+        # A pan, a cut to a new scene, then that scene again: the cut frame
+        # reuses nothing and leaves no anchor, as a flush would, so the frame
+        # after it searches rather than try the old shot's motion.
+        cfg = MatcherConfig(block_size=8, skip_k=1, search_range=8)
+        pan = synth_sequence(3, 32, 32, dx=2, dy=1, noise=0.005, seed=23)
+        scene = synth_sequence(2, 32, 32, dx=-1, dy=2, noise=0.005, seed=99)
+        sess = make_session(matcher_cfg=cfg)
+        anchors, matches = [], []
+        for f in pan + scene:
+            _, metrics = sess.run_frame(f)
+            anchors.append(sess.cache.anchor)
+            matches.append(sess.last_match)
+        assert anchors[1] is matches[1] and matches[2].stats.searches == 0
+        assert anchors[2] is anchors[1]
+        cut = matches[3]
+        assert (cut.mappings, cut.match_ratio, cut.stats.searches) == ([], 0.0, 0)
+        assert anchors[3] is None
+        assert matches[4].stats.searches > 0 and anchors[4] is matches[4]
 
     def test_graph_without_weights_rejected(self):
         with pytest.raises(ValueError, match="no weights loaded"):
@@ -1123,9 +1146,10 @@ class TestExactReuse:
     @pytest.mark.parametrize("seed", range(4))
     def test_stride_aligned_pan_copies_exactly(self, seed):
         # (32, 16) px per frame is a whole number of strides at every conv
-        # of the benchmark's conv stack; only the moving square matches.
+        # of the benchmark's conv stack, and lies within the search range.
         kw = dict(mean=(123.68, 116.78, 103.94), scale=0.017)
-        cached = make_session(BENCH_CONV_STACK, seed, matcher_cfg=exact_cfg(), **kw)
+        cached = make_session(BENCH_CONV_STACK, seed, matcher_cfg=exact_cfg(search_range=32),
+                              **kw)
         plain = make_session(BENCH_CONV_STACK, seed, cache_enabled=False, **kw)
         copied = 0
         for f in synth_sequence(3, 227, 227, dx=32, dy=16, seed=seed, square=True):

@@ -12,7 +12,9 @@ from framecache import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, Frame, MatcherC
                         partition_grid, psnr, verify_blocks)
 from framecache.synth import synth_sequence
 
-from framecache.matching import PRIOR_KEEP, PRIOR_MIN, _BlockBatch, psnr_from_sse
+from framecache import matching
+from framecache.matching import (PRIOR_KEEP, PRIOR_MIN, _BlockBatch, _window_sse,
+                                 psnr_from_sse)
 from reference import diamond_search_ref, exhaustive_search_ref, merge_blocks_ref, psnr_ref
 
 
@@ -457,7 +459,9 @@ class TestPrior:
         # unsearched and covering at least PRIOR_KEEP of the prior, or the
         # result of a call without prior, at the cost of that call plus the
         # verification of the prediction, if one was tried.  A prior that
-        # covered less than PRIOR_MIN is not tried.
+        # covered less than PRIOR_MIN is not tried.  A cut is unsearched
+        # too but covers nothing, so a kept prediction is told apart by
+        # its coverage.
         ref, cur = scene_pair(kind, seed)
         cfg = MatcherConfig(block_size=8, skip_k=k, search_range=search_range,
                             strategy=strategy)
@@ -473,7 +477,7 @@ class TestPrior:
         def at(mx, my):
             return {(b.x, b.y, mx, my) for b in grid if frame.contains(b.translate(mx, my))}
 
-        if res.stats.searches == 0:
+        if res.stats.searches == 0 and res.match_ratio > 0:
             assert ratio >= PRIOR_MIN
             assert res.match_ratio == predicted_ratio >= PRIOR_KEEP * ratio
             assert res.global_motion == p
@@ -499,21 +503,18 @@ class TestPrior:
 
     @pytest.mark.parametrize("dx, dy, seed", [(0, 0, 2), (2, 1, 6)])
     def test_anchor_left_by_a_cut_is_not_tried(self, dx, dy, seed):
-        # A search across a cut covers a few blocks at a chance motion.
-        # On the next frame of the new shot (still or panning) the
-        # prediction there would clear PRIOR_KEEP of so small a prior yet
-        # cover far less than a search finds, so the call searches instead.
+        # Across a cut the gate finds no motion that could cover PRIOR_MIN,
+        # so the call returns the empty result unsearched.  As a prior it
+        # is not tried: the next frame of the new shot (still or panning)
+        # gets exactly what a search finds.
         old = synth_sequence(1, 227, 227, noise=0.01, seed=5000 + seed)[0]
         shot = synth_sequence(2, 227, 227, dx=dx, dy=dy, noise=0.01, seed=9000 + seed,
                               square=True)
         cut = match_frames(shot[0], old)
-        assert 0 < cut.match_ratio < PRIOR_MIN
-        grid = partition_grid(227, 227, 10)
-        chance = len(verify_blocks(shot[1], shot[0], grid, cut.global_motion, MatcherConfig()))
+        assert cut == MatchResult([], (0, 0), 0.0, 0, MatchStats())
         plain = match_frames(shot[1], shot[0])
-        assert PRIOR_KEEP * cut.match_ratio <= chance * 100 / 227**2 < plain.match_ratio / 2
-        res = match_frames(shot[1], shot[0], prior=cut)
-        assert res == plain
+        assert plain.stats.searches > 0 and plain.match_ratio > PRIOR_MIN
+        assert match_frames(shot[1], shot[0], prior=cut) == plain
 
     def test_prior_that_covered_nothing_is_not_tried(self):
         cur = noise_frame(1, channels=3, h=60, w=60)
@@ -527,6 +528,57 @@ class TestPrior:
         res = match_frames(cur, ref, prior=stale)
         assert res.stats.searches > 0
         assert res.mappings == match_frames(cur, ref).mappings
+
+
+class TestCutGate:
+    @settings(max_examples=40, deadline=None)
+    @given(dx=st.integers(-16, 16), dy=st.integers(-16, 16),
+           size=st.sampled_from(((227, 227), (96, 80))), square=st.booleans(),
+           noise=st.sampled_from((0.0, 0.03)), threshold=st.sampled_from((20.0, PSNR_MAX - 1)),
+           seed=st.integers(0, 2**16))
+    def test_translations_pass_the_gate(self, dx, dy, size, square, noise, threshold, seed):
+        # Any translation within the search range, with or without the
+        # moving square and noise, is matched exactly as with no gate.  The
+        # one exception: no noisy block is bit-identical to its source, so
+        # at PSNR_MAX - 1 nothing verifies and the gate returns the empty
+        # result without searching.
+        w, h = size
+        ref, cur = synth_sequence(2, w, h, dx=dx, dy=dy, noise=noise, seed=seed, square=square)
+        cfg = MatcherConfig(threshold_t=threshold)
+        gated = match_frames(cur, ref, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_is_cut", lambda *args: False)
+            ungated = match_frames(cur, ref, cfg)
+        if noise and threshold == PSNR_MAX - 1:
+            assert ungated.match_ratio == 0
+            assert gated == MatchResult([], (0, 0), 0.0, 0, MatchStats())
+        else:
+            assert gated == ungated
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cut_returns_the_empty_result(self, seed):
+        # Independent textures, as the scenes of a cut clip: no search.
+        old, new = (synth_sequence(1, 227, 227, noise=0.01, seed=seed * 2 + i)[0]
+                    for i in range(2))
+        assert match_frames(new, old) == MatchResult([], (0, 0), 0.0, 0, MatchStats())
+
+    def test_gate_skips_a_kept_prediction(self, monkeypatch):
+        # The gate runs only where the call would search.
+        ref, cur = texture_pair(2, 1, seed=4, w=100, h=80, noise=0.02)
+        plain = match_frames(cur, ref)
+        monkeypatch.setattr(matching, "_is_cut", lambda *args: pytest.fail("gate ran"))
+        assert match_frames(cur, ref, prior=plain).stats.searches == 0
+
+
+class TestWindowSse:
+    @pytest.mark.parametrize("h, w", [(25, 1321), (2, 16513)])
+    def test_sums_are_exact_at_the_accumulator_edge(self, h, w):
+        # 25 x 1321 = 33025 samples is the largest window whose SSE fits
+        # int32 (33025 * 255**2 < 2**31); 2 x 16513 is one sample more.
+        ref16 = np.full((1, h, w), 255, dtype=np.int16)
+        cur_rows = np.zeros((2, h * w), dtype=np.int16)
+        sse = _window_sse(cur_rows, ref16, h, w, np.zeros(2, int), np.zeros(2, int))
+        assert sse.tolist() == [h * w * 65025.0] * 2
 
 
 class TestMatcherConfig:

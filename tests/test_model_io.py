@@ -7,7 +7,7 @@ from framecache import (Frame, ModelParseError, expected_weight_bytes,
                         load_frame_pnm, load_weights, parse_model,
                         random_weights, serialize_model, serialize_weights,
                         write_frame_pnm)
-from framecache.engine import OPS
+from framecache.engine import OPS, LayerSpec
 
 BASIC = """\
 input 3 227 227
@@ -174,6 +174,21 @@ class TestParseModel:
     def test_values_outside_the_domain_rejected(self, layer):
         with pytest.raises(ModelParseError, match="line 2: layer"):
             parse_model(f"input 1 4 4\n{layer} in=data out=o\n")
+
+    def test_lrn_bias_power_below_the_normal_range_rejected(self):
+        # 1e-200**2 underflows to 0, and a 0 input would store 0 / 0.
+        with pytest.raises(ModelParseError, match="line 2: layer 'n': lrn bias\\*\\*beta"):
+            parse_model("input 1 2 2\nn lrn r=1 bias=1e-200 beta=2 in=data out=o\n")
+        parse_model("input 1 2 2\nn lrn r=1 bias=1e-100 beta=3 in=data out=o\n")
+        parse_model("input 1 2 2\nn lrn r=1 bias=1e-200 beta=-2 in=data out=o\n")
+
+    def test_key_defaults_equal_the_field_defaults(self):
+        # A spec built directly takes LayerSpec's defaults, a parsed one OPS's.
+        field_default = {f.name: f.default for f in fields(LayerSpec)}
+        for op in OPS.values():
+            for key in op.keys.values():
+                if key.default is not None:
+                    assert field_default[key.field] == key.default
 
     def test_serialized_text(self):
         # Every key of every op, defaults written out, in a fixed order.
