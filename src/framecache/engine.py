@@ -23,24 +23,24 @@ stores them (the engine rejects other dtypes); all kernels accumulate in
 float64 and store float32, and every stored value is defined by a fixed
 formula, so repeated runs (and the copy/compute split in cached
 convolution) are bit-reproducible whatever the BLAS's blocking or thread
-count.  A convolution output is the float32 of its bias plus its terms
-added one at a time in (input channel, kernel row, kernel col) order; one convolution kernel serves
-both the full and the cached path and computes any set of output pixels,
-so which pixels are computed together never changes a value.  Sums whose
-order is not fixed by a formula (fc dot products, softmax normalizers)
-are correctly rounded to float64, which is order-independent.  Neither
-conv nor fc sums term by term on its common path: a float64 matrix
-product in whatever order the BLAS picks comes with a rigorous error
-bound covering its distance both to the exact sum and to any ordered
-one, and where every value inside that bound rounds to the same float32
-the stored result is known (_screen).  The bound scales with the terms'
-magnitudes, which Cauchy-Schwarz caps at |b| + ||x|| * ||w|| for input
-x and weight row w, widened by 1 + 4*(n+2)*u to cover its own rounding
-(_weight_norms), so the matrix product is the only BLAS product per
-pixel.  The rare entries the screen does not settle (exact zeros, heavy
-cancellation, non-finite terms) are summed by the defining formula: in
-the fixed order for conv, exactly with math.fsum for fc (NaN where the
-terms hold both infinities, as the fixed order gives).
+count.  One rule covers conv and fc: an output is the float32 of its bias
+plus its terms added one at a time in (input channel, kernel row, kernel
+col) order.  An fc layer is the 1x1 convolution of one pixel whose
+channels are its flattened input, so its order is the flattened input
+order.  One kernel (_conv_at) serves conv's full and cached paths and fc,
+and computes any set of output pixels, so which pixels are computed
+together never changes a value.  It does not sum term by term on its
+common path: a float64 matrix product in whatever order the BLAS picks
+comes with a rigorous error bound covering its distance to the
+fixed-order sum, and where every value inside that bound rounds to the
+same float32 the stored result is known (_screen).  The bound scales with
+the terms' magnitudes, which Cauchy-Schwarz caps at |b| + ||x|| * ||w||
+for window x and weight row w, widened by 1 + 4*(n+2)*u to cover its own
+rounding (_weight_norms), so the matrix product is the only BLAS product
+per pixel.  The rare entries the screen does not settle (exact zeros,
+heavy cancellation, non-finite terms) are summed in the fixed order.
+Softmax's normalizer, the one sum with no fixed order, is correctly
+rounded by math.fsum, which is order-independent.
 Transcendentals in hot paths use numpy's vectorized forms; softmax uses
 scalar math.exp so its tiny head stays identical to a scalar reference.
 """
@@ -55,7 +55,7 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .core import FeatureMap, Frame, Rect, RegionMapping
-from .matching import MatcherConfig, MatchResult, match_frames
+from .matching import MatcherConfig, MatchResult, check_count, match_frames
 from .regions import LayerGeom, LayerType, concat_mappings, propagate_mappings
 
 
@@ -174,8 +174,7 @@ class CacheStore:
     anchor: MatchResult | None = None
 
     def __post_init__(self):
-        if self.expire_n < 1:
-            raise ValueError("expire_n must be >= 1")
+        check_count("expire_n", self.expire_n, 1)
 
     def commit(self, frame: Frame, conv_outputs: dict[str, FeatureMap], flushed: bool,
                match: MatchResult | None):
@@ -216,24 +215,31 @@ class FrameMetrics:
     per_layer: list[ConvLayerMacs] = field(default_factory=list)
 
 
-def _channel_means(mean, channels: int) -> np.ndarray:
-    """mean, a scalar or a per-channel sequence, as one float64 per channel."""
+def _preprocess_args(mean, scale, channels: int) -> tuple[np.ndarray, float]:
+    """mean, a scalar or a per-channel sequence, as one float64 per
+    channel, and scale as a float; both must be finite."""
     mean_arr = np.asarray(mean, dtype=np.float64).reshape(-1)
     if mean_arr.size == 1:
         mean_arr = np.repeat(mean_arr, channels)
     if mean_arr.size != channels:
         raise ValueError(f"mean has {mean_arr.size} entries for {channels} channels")
-    return mean_arr
+    scale = float(scale)
+    if not (np.isfinite(mean_arr).all() and math.isfinite(scale)):
+        raise ValueError(f"mean and scale must be finite, got mean={mean_arr.tolist()}, "
+                         f"scale={scale}")
+    return mean_arr, scale
 
 
 def preprocess(frame: Frame, mean=0.0, scale: float = 1.0) -> FeatureMap:
     """(sample - mean[channel]) * scale, to float32.
 
     mean is a scalar or a per-channel sequence; frames are not resized.
+    Results beyond the float32 range store as infinities.
     """
-    mean_arr = _channel_means(mean, frame.channels)
-    out = (frame.data.astype(np.float64) - mean_arr[:, None, None]) * float(scale)
-    return FeatureMap(out.astype(np.float32))
+    mean_arr, scale = _preprocess_args(mean, scale, frame.channels)
+    with np.errstate(over="ignore"):
+        out = (frame.data.astype(np.float64) - mean_arr[:, None, None]) * scale
+        return FeatureMap(out.astype(np.float32))
 
 
 def _require_weights(spec: LayerSpec, shapes: tuple[tuple, tuple] | None = None):
@@ -321,8 +327,9 @@ def _screen(s: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _weight_norms(w64: np.ndarray) -> np.ndarray:
-    """Per-row factors of the Cauchy-Schwarz bound for a (rows, n) matrix
-    of float32 weights held in float64: for any float32 vector x, the
+    """Per-row factors of the Cauchy-Schwarz bound for a layer's
+    (out_ch, n) matrix of float32 weights held in float64, one row per
+    output channel (or fc output): for any float32 vector x, the
     float64 product of its 2-norm (the square root of its sum of squares,
     summed in any order) with entry r is at least sum_i |w64[r, i] * x_i|.
 
@@ -341,7 +348,7 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
              idx_x: np.ndarray) -> np.ndarray:
     """Convolution outputs at the output pixels (idx_y[i], idx_x[i]), as a
     float32 (out_ch, n) array.  Zero padding, square kernel, per-channel
-    bias.
+    bias.  fc_forward runs it on one pixel with (out, n) weights.
 
     Each output stores the float32 of its fixed-order float64 sum: bias
     first, then the weight*input terms in (input channel, kernel row,
@@ -472,9 +479,10 @@ def pool_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     if spec.pool_mode == "avg":
         padded = _pad_input(input.data.astype(np.float64), p)
         acc = np.zeros((input.channels, out_h, out_w), dtype=np.float64)
-        for ky in range(k):
-            for kx in range(k):
-                acc += padded[:, ky:ky + s * out_h:s, kx:kx + s * out_w:s]
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN, not a warning
+            for ky in range(k):
+                for kx in range(k):
+                    acc += padded[:, ky:ky + s * out_h:s, kx:kx + s * out_w:s]
         return FeatureMap((acc / (k * k)).astype(np.float32))
     raise ValueError(f"unknown pool mode {spec.pool_mode!r}")
 
@@ -503,48 +511,22 @@ def lrn_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
         return FeatureMap((x64 / denom).astype(np.float32))
 
 
-def _fsum_or_nan(terms: list[float]) -> float:
-    """math.fsum of terms, or NaN where it raises for inf - inf."""
-    try:
-        return math.fsum(terms)
-    except ValueError:
-        return math.nan
-
-
 def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     """Dense layer over the flattened (channel-major) input.
 
-    Each output is the correctly rounded float64 sum of the bias plus all
-    weight*input products, stored as float32.  The products are exact in
-    float64 (two float32 mantissas fit, and their exponents neither
-    overflow nor underflow), so the result depends on no summation order.
-
-    Every row is first summed by a float64 matrix-vector product in
-    whatever order the BLAS picks.  Its terms' magnitudes are bounded by
-    |b| + ||x|| * ||w_row|| * (1 + 4*(n+2)*u), as in _conv_at (see
-    _weight_norms), and _screen settles the rows whose error interval
-    under that bound stores as one float32.  The other rows (exact zeros,
-    sums that cancel to near a float32 rounding boundary, non-finite
-    terms) are summed exactly by math.fsum, bias first, which also keeps
-    its +0.0 for an exact zero.  A row holding both +inf and -inf terms,
-    where fsum raises, stores NaN, as conv does.
+    It is a 1x1 convolution of one pixel whose channels are the input's
+    values in that order (fc specs keep kernel 1, stride 1 and pad 0), so
+    _conv_at computes it: each output is the float32 of its bias plus its
+    weight*input terms added one at a time in flattened input order.
     """
     _require_weights(spec)
-    x64 = input.data.astype(np.float64).ravel()
-    w64 = spec.weights.astype(np.float64)
-    b64 = spec.biases.astype(np.float64)
-    if w64.shape[1] != x64.size:
-        raise ValueError(f"layer {spec.name!r}: fc expects {w64.shape[1]} inputs, "
-                         f"got {x64.size}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = w64 @ x64 + b64
-        a = _weight_norms(w64) * np.sqrt(x64 @ x64) + np.abs(b64)
-        out, unsettled = _screen(s, a, x64.size + 1)
-        rows = np.flatnonzero(unsettled)
-        if rows.size:
-            exact = [_fsum_or_nan([float(b64[r])] + (w64[r] * x64).tolist()) for r in rows]
-            out[rows] = np.array(exact).astype(np.float32)
-    return FeatureMap(out.reshape(-1, 1, 1))
+    n = spec.weights.shape[1]
+    if input.data.size != n:
+        raise ValueError(f"layer {spec.name!r}: fc expects {n} inputs, "
+                         f"got {input.data.size}")
+    column = FeatureMap(input.data.reshape(-1, 1, 1))
+    origin = np.zeros(1, dtype=np.intp)
+    return FeatureMap(_conv_at(column, spec, origin, origin).reshape(-1, 1, 1))
 
 
 def softmax_forward(input: FeatureMap) -> FeatureMap:
@@ -684,8 +666,9 @@ class Session:
     and nothing is retained).  With it True the model input must hold at
     least one matcher block, or no frame could ever be matched.  Every
     conv and fc layer must hold float32 weights and biases of the shapes
-    ModelGraph.param_shapes gives, and mean must give one value or one per
-    input channel; all three are checked here, before any frame.
+    ModelGraph.param_shapes gives, mean must give one value or one per
+    input channel, and mean and scale must be finite; all of it is checked
+    here, before any frame.
 
     A cache-assisted frame is matched with the cache's anchor (the last
     searched match since the flush) as prior: it is verified at the
@@ -719,8 +702,7 @@ class Session:
             _require_weights(spec, shapes)
         self.cache = CacheStore(expire_n=expire_n)
         self.cache_enabled = cache_enabled
-        self.mean = _channel_means(mean, graph.input_dims[0])
-        self.scale = scale
+        self.mean, self.scale = _preprocess_args(mean, scale, graph.input_dims[0])
         self.last_match: MatchResult | None = None
         self._totals = graph.conv_total_macs()
 

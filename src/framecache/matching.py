@@ -46,6 +46,7 @@ one global motion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,17 @@ _LDSP = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (1, -1), (-1, 1), (
 _SDSP = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
 
 
+def check_count(name: str, value, least: int):
+    """Raise ValueError unless value is an integer (one operator.index
+    takes, so NumPy integers pass and floats do not) of at least least."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass
 class MatcherConfig:
     """Tuning knobs for the matcher.
@@ -87,12 +99,9 @@ class MatcherConfig:
     strategy: str = "diamond"
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.skip_k < 1:
-            raise ValueError("skip_k must be >= 1")
-        if self.search_range < 0:
-            raise ValueError("search_range must be >= 0")
+        check_count("block_size", self.block_size, 1)
+        check_count("skip_k", self.skip_k, 1)
+        check_count("search_range", self.search_range, 0)
         if not self.threshold_t > 0:
             raise ValueError("threshold_t must be > 0")
         if self.strategy not in SEARCH_STRATEGIES:

@@ -4,14 +4,12 @@ Everything here is written loop-by-loop from the operation definitions,
 sharing no code with the package.  Convolution and normalization use the
 same per-element term order as the production kernels (bias first, then
 input channel / kernel row / kernel col ascending), so comparisons can be
-exact rather than approximate.  Sums without a pinned order (fc) go
-through exact rational arithmetic instead, or through one math.fsum per
-output row.
+exact rather than approximate.  A fully connected layer has no oracle of
+its own: it is conv_naive over its flattened input as the channels of one
+pixel, with 1x1 kernels.
 """
 
 import math
-from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -90,35 +88,6 @@ def lrn_naive(x, radius, alpha, beta, bias):
                 acc[ci, yy, xx] = s
     denom = np.power(bias + (alpha / size) * acc, beta)
     return (x64 / denom).astype(np.float32)
-
-
-def fc_exact(x, w, b):
-    """Dense layer through exact rational arithmetic, rounded once."""
-    flat = x.astype(np.float64).ravel()
-    out = np.empty(w.shape[0], dtype=np.float64)
-    for o in range(w.shape[0]):
-        total = Fraction(float(b[o]))
-        for i in range(flat.size):
-            total += Fraction(float(w[o, i])) * Fraction(float(flat[i]))
-        out[o] = float(total)
-    return out.astype(np.float32).reshape(-1, 1, 1)
-
-
-def fc_fsum(x, w, b):
-    """Dense layer as one math.fsum per output row over the bias and the
-    float64 products, stored float32: the per-row formula the production
-    kernel must reproduce bit for bit, including +0.0 for rows that cancel
-    exactly and fsum's handling of non-finite terms, with NaN for a row
-    where fsum raises (inf - inf)."""
-    flat = x.astype(np.float64).ravel()
-    prods = w.astype(np.float64) * flat[None, :]
-    out = []
-    for bias, row in zip(b.astype(np.float64), prods):
-        try:
-            out.append(math.fsum(chain((bias,), row)))
-        except ValueError:
-            out.append(math.nan)
-    return np.array(out).astype(np.float32).reshape(-1, 1, 1)
 
 
 def softmax_naive(x):

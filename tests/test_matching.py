@@ -590,11 +590,17 @@ class TestMatcherConfig:
     @pytest.mark.parametrize("kwargs", [
         {"block_size": 0}, {"skip_k": 0}, {"search_range": -1},
         {"threshold_t": 0.0}, {"threshold_t": -3.0}, {"strategy": "bogus"},
-        {"strategy": "three-step"},
+        {"strategy": "three-step"}, {"block_size": 10.5}, {"skip_k": 2.0},
+        {"search_range": 2.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MatcherConfig(**kwargs)
+
+    def test_numpy_integer_sizes_allowed(self):
+        cfg = MatcherConfig(block_size=np.int64(10), skip_k=np.int32(1), search_range=np.int16(4))
+        f = noise_frame(0, h=20, w=20)
+        assert match_frames(f, f, cfg).match_ratio == 1.0
 
     def test_infinite_threshold_allowed(self):
         cfg = MatcherConfig(threshold_t=math.inf)
