@@ -39,6 +39,16 @@ for window x and weight row w, widened by 1 + 4*(n+2)*u to cover its own
 rounding (_weight_norms), so the matrix product is the only BLAS product
 per pixel.  The rare entries the screen does not settle (exact zeros,
 heavy cancellation, non-finite terms) are summed in the fixed order.
+What the kernel needs of a layer's weights alone (the float64 weights
+and biases, the weight rows' norm bounds and |b|) is prepared once per
+weights/biases pair and kept on the LayerSpec (_prepare_weights); a
+Session prepares every conv and fc layer when it is built, and a kernel
+called directly prepares on first use.  From then on the float32 arrays
+are read-only: new weights are assigned, never written in place.  An
+array whose memory another reference could still write (a view of a
+bytearray blob) is replaced on the spec by a read-only copy.
+Max pooling compares in float32: the max of float32 values is one of
+them, whose bits it stores, a NaN quieted as a float64 cast quiets it.
 Softmax's normalizer, the one sum with no fixed order, is correctly
 rounded by math.fsum, which is order-independent.
 Transcendentals in hot paths use numpy's vectorized forms; softmax uses
@@ -68,7 +78,13 @@ class LayerSpec:
     op's float keys are finite, and lrn's bias > 0, alpha >= 0 and
     bias**beta in float64's normal range or above.
     weights/biases stay None until a weight blob is loaded (conv and fc
-    only), and must then be float32.
+    only), and must then be float32.  prepared holds what _conv_at reads
+    of them: the float64 weights and biases, the weight rows' norm bounds
+    and |b| (see _prepare_weights).  It is built once per weights/biases
+    pair, when a Session is built or a kernel first runs, and from then on
+    both arrays are read-only, so an in-place write raises; assign new
+    arrays to change a layer's weights.  An array that views memory
+    another reference can write is first replaced by a read-only copy.
     """
 
     name: str
@@ -89,6 +105,8 @@ class LayerSpec:
     value: float = 0.0
     weights: np.ndarray | None = None
     biases: np.ndarray | None = None
+    prepared: PreparedWeights | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if self.op not in OPS:
@@ -255,12 +273,12 @@ def _require_weights(spec: LayerSpec, shapes: tuple[tuple, tuple] | None = None)
                              f"not {shapes[i]}")
 
 
-def _pad_input(x64: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
+def _pad_input(x: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
     if p == 0:
-        return x64
-    c, h, w = x64.shape
-    padded = np.full((c, h + 2 * p, w + 2 * p), fill, dtype=np.float64)
-    padded[:, p:p + h, p:p + w] = x64
+        return x
+    c, h, w = x.shape
+    padded = np.full((c, h + 2 * p, w + 2 * p), fill, dtype=x.dtype)
+    padded[:, p:p + h, p:p + w] = x
     return padded
 
 
@@ -344,11 +362,74 @@ def _weight_norms(w64: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", w64, w64)) * (1.0 + 4 * (w64.shape[1] + 2) * _U64)
 
 
+class PreparedWeights(NamedTuple):
+    """A conv or fc layer's weights in the form _conv_at reads them.
+
+    weights and biases are the float32 arrays it was built from; w64 holds
+    the weights in float64 as an (out_ch, n) matrix, b64 the biases in
+    float64, w_norms the _weight_norms of w64 and b_abs |b64|.
+    """
+
+    weights: np.ndarray
+    biases: np.ndarray
+    w64: np.ndarray
+    b64: np.ndarray
+    w_norms: np.ndarray
+    b_abs: np.ndarray
+
+
+def _read_only(a) -> bool:
+    """True if no reference can write a's memory: a and every array it
+    views are read-only, down to an owning array or a read-only buffer."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    try:
+        return a is None or memoryview(a).readonly
+    except TypeError:
+        return False
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a marked read-only, or a read-only copy if another reference could
+    still write its memory (a view of a bytearray, say)."""
+    a.flags.writeable = False
+    if not _read_only(a):
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+def _prepare_weights(spec: LayerSpec) -> PreparedWeights:
+    """spec.prepared, built now unless it was built from spec's current
+    weights and biases and nothing can write their memory (_read_only).
+
+    Building it makes both arrays read-only (_frozen, which may put a
+    copy on the spec), so a later in-place write raises instead of leaving
+    the prepared form stale; a new array, or a writeable copy (as
+    copy.deepcopy makes), is prepared again.
+    """
+    w, b, prep = spec.weights, spec.biases, spec.prepared
+    if (prep is None or prep.weights is not w or prep.biases is not b
+            or not _read_only(w) or not _read_only(b)):
+        w = spec.weights = _frozen(w)
+        b = spec.biases = _frozen(b)
+        w64 = w.astype(np.float64).reshape(len(w), -1)
+        b64 = b.astype(np.float64)
+        prep = spec.prepared = PreparedWeights(w, b, w64, b64, _weight_norms(w64), np.abs(b64))
+    return prep
+
+
 def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
              idx_x: np.ndarray) -> np.ndarray:
     """Convolution outputs at the output pixels (idx_y[i], idx_x[i]), as a
     float32 (out_ch, n) array.  Zero padding, square kernel, per-channel
-    bias.  fc_forward runs it on one pixel with (out, n) weights.
+    bias.  fc_forward runs it on one pixel with (out, n) weights.  It reads
+    the layer's weights, their norm bounds and |b| in float64 from
+    spec.prepared, preparing them first if they are not prepared for the
+    current arrays (which leaves those arrays read-only, see
+    _prepare_weights).
 
     Each output stores the float32 of its fixed-order float64 sum: bias
     first, then the weight*input terms in (input channel, kernel row,
@@ -367,9 +448,9 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
     chunking.
     """
     k, s, p = spec.kernel, spec.stride, spec.pad
-    out_ch = spec.weights.shape[0]
-    w64 = spec.weights.astype(np.float64).reshape(out_ch, -1)
-    b64 = spec.biases.astype(np.float64)
+    prep = _prepare_weights(spec)
+    w64, b64 = prep.w64, prep.b64
+    out_ch = len(w64)
     padded = _pad_input(input.data.astype(np.float64), p)
     # (out_y, out_x, in_ch, ky, kx) view of every output pixel's window.
     windows = np.lib.stride_tricks.sliding_window_view(
@@ -385,8 +466,8 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
             np.matmul(cols, w64.T, out=sums[px])
             np.einsum("ij,ij->i", cols, cols, out=norms[px])
         sums += b64
-        bound = np.multiply.outer(np.sqrt(norms, out=norms), _weight_norms(w64))
-        bound += np.abs(b64)
+        bound = np.multiply.outer(np.sqrt(norms, out=norms), prep.w_norms)
+        bound += prep.b_abs
         out, unsettled = _screen(sums, bound, n_cols + 1)
         pix, ch = np.divmod(np.flatnonzero(unsettled), out_ch)
         if pix.size:
@@ -463,19 +544,25 @@ def conv_forward_cached(input: FeatureMap, spec: LayerSpec, cached_out: FeatureM
 def pool_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     """Max (default) or average pooling over a square window.
 
-    Max ignores padding (pad value is -inf); averaging zero-pads and always
-    divides by k*k, window terms accumulated in (row, col) order.
+    Max ignores padding (pad value is -inf) and runs in float32: the max
+    of float32 values is one of them, so it is exact and stores that
+    value's bits.  NaNs propagate, stored quiet (bit 22 set), as a cast
+    through float64 stores them.  Averaging zero-pads and always divides
+    by k*k, window terms accumulated in float64 in (row, col) order.
     """
     k, s, p = spec.kernel, spec.stride, spec.pad
     out_h, out_w = _window_dims(spec, input.height, input.width)
     if spec.pool_mode == "max":
-        padded = _pad_input(input.data.astype(np.float64), p, fill=-np.inf)
+        padded = _pad_input(input.data, p, fill=-np.inf)
         acc = None
         for ky in range(k):
             for kx in range(k):
                 patch = padded[:, ky:ky + s * out_h:s, kx:kx + s * out_w:s]
                 acc = patch.copy() if acc is None else np.maximum(acc, patch)
-        return FeatureMap(acc.astype(np.float32))
+        nan = np.isnan(acc)
+        if nan.any():
+            acc.view(np.uint32)[nan] |= np.uint32(0x00400000)
+        return FeatureMap(acc)
     if spec.pool_mode == "avg":
         padded = _pad_input(input.data.astype(np.float64), p)
         acc = np.zeros((input.channels, out_h, out_w), dtype=np.float64)
@@ -700,6 +787,7 @@ class Session:
                              f"cache_enabled=False")
         for spec, *shapes in graph.param_shapes():
             _require_weights(spec, shapes)
+            _prepare_weights(spec)
         self.cache = CacheStore(expire_n=expire_n)
         self.cache_enabled = cache_enabled
         self.mean, self.scale = _preprocess_args(mean, scale, graph.input_dims[0])

@@ -21,16 +21,18 @@ through one method, ``_BlockBatch.best``; a strategy only chooses which
 offsets to try.
 
 The cut gate runs before Step 2, and only where the call would search.
-It decides from block sums whether one motion could verify PRIOR_MIN of
-the grid.  A block's mean-difference SSE bounds its SSE from below
-(Cauchy-Schwarz; the successive elimination bound of Li and Salari, IEEE
-TIP 1995), so at any motion the blocks whose bound clears threshold_t
-include every block Step 4 would verify there.  The gate counts them at
-the motions of a coarse-to-fine search over block sums, as in the
-mean-pyramid motion search of Nam et al. (IEEE TCSVT 1995).  Where no
-count reaches the bar, as across a scene cut, the call returns an empty
-result (no mappings, match_ratio 0, no searches) instead of searching;
-elsewhere the pipeline runs exactly as it would without the gate.
+It decides from block sums whether one motion, keeping PRIOR_MIN of the
+grid in view, could verify PRIOR_MIN of the blocks it keeps in view, so
+that a pan is not taken for a cut because blocks left the frame.  A
+block's mean-difference SSE bounds its SSE from below (Cauchy-Schwarz;
+the successive elimination bound of Li and Salari, IEEE TIP 1995), so at
+any motion the blocks whose bound clears threshold_t include every block
+Step 4 would verify there.  The gate counts them at the motions of a
+coarse-to-fine search over block sums, as in the mean-pyramid motion
+search of Nam et al. (IEEE TCSVT 1995).  Where no count reaches the bar,
+as across a scene cut, the call returns an empty result (no mappings,
+match_ratio 0, no searches) instead of searching; elsewhere the pipeline
+runs exactly as it would without the gate.
 
 Temporal motion prediction: given ``prior``, an earlier searched
 MatchResult, match_frames first runs Steps 1, 4 and 5 alone at the prior's
@@ -62,7 +64,8 @@ PRIOR_KEEP = 0.9
 # cut covers at most a few percent of the frame, at a motion drawn from a
 # few chance matches, and a prediction there could clear PRIOR_KEEP yet
 # lose most of the reuse a search of the next shot finds.  The cut gate
-# skips the search where no motion could verify this share of the grid.
+# skips the search where no motion keeping this share of the grid in view
+# could verify this share of the blocks in view.
 PRIOR_MIN = 0.5
 
 # Large/small diamond search patterns; offsets relative to the pattern center.
@@ -81,9 +84,9 @@ def check_count(name: str, value, least: int):
         raise ValueError(f"{name} must be >= {least}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatcherConfig:
-    """Tuning knobs for the matcher.
+    """Tuning knobs for the matcher, checked when built and then fixed.
 
     block_size: side of a square grid block, pixels.
     threshold_t: minimum PSNR (dB) for a block pair to count as matched.
@@ -215,8 +218,9 @@ def _run_sums(x: np.ndarray, n: int, shift: int, length: int) -> np.ndarray:
 
 
 def _is_cut(cur16, ref16, rows: int, cols: int, cfg: MatcherConfig) -> bool:
-    """The cut gate: True when no motion the gate tries could verify
-    PRIOR_MIN of the grid's blocks.
+    """The cut gate: True when no motion the gate tries, among those that
+    keep PRIOR_MIN of the grid's blocks inside ref, could verify PRIOR_MIN
+    of the blocks it keeps inside ref.
 
     It compares block sums, not pixels.  By Cauchy-Schwarz a block's SSE at
     a motion is at least its mean-difference SSE, the sum over channels of
@@ -229,7 +233,10 @@ def _is_cut(cur16, ref16, rows: int, cols: int, cfg: MatcherConfig) -> bool:
     the bar); then the bs x bs offsets from step - 1 before that motion to
     step after it, at each of which the in-range blocks whose bound clears
     the threshold are counted.  The pair is a cut if no count reaches
-    PRIOR_MIN of the grid.
+    PRIOR_MIN of the in-range blocks at a motion that has PRIOR_MIN of the
+    grid in range.  The bar counts blocks in view, not the grid, because a
+    pan on a small frame moves blocks out of view: a match there can cover
+    less than PRIOR_MIN of the grid, and the search keeps it.
     """
     bs = cfg.block_size
     c, h, w = cur16.shape
@@ -294,8 +301,8 @@ def _is_cut(cur16, ref16, rows: int, cols: int, cfg: MatcherConfig) -> bool:
                .reshape(c, rows, bs, cols, bs))
     # PSNR above threshold_t, for an SSE bound of t / bs**2 over c * bs**2 samples.
     lim = 65025.0 * c * bs**4 * 10.0 ** (-cfg.threshold_t / 10)
-    hits, _ = in_range_sum((t < lim).astype(float), y0 + np.arange(bs), x0 + np.arange(bs))
-    return bool(hits.max() < bar)
+    hits, n = in_range_sum((t < lim).astype(float), y0 + np.arange(bs), x0 + np.arange(bs))
+    return not ((n >= bar) & (hits >= PRIOR_MIN * n)).any()
 
 
 class _BlockBatch:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -230,6 +231,31 @@ class TestPoolForward:
         # corner windows hold one real value and three zeros
         assert out.data[0, 0, 0] == np.float32(1.0)
         assert out.data[0, 1, 1] == np.float32(4.0)
+
+    def test_max_stores_an_input_of_its_window(self):
+        # Max pooling runs in float32: every output is the bit pattern of
+        # one of its window's inputs, signed zeros and NaN payloads (quiet
+        # or signaling, of either sign) included, and a window holding a
+        # NaN stores a NaN, quieted as a cast through float64 quiets it.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 9, 8)).astype(np.float32)
+        spots = rng.random(x.shape)
+        x[spots < 0.1] = -0.0
+        x[spots > 0.95] = np.inf
+        nan = (spots > 0.1) & (spots < 0.2)
+        payloads = rng.integers(0x7f800001, 0x80000000, size=nan.sum(), dtype=np.uint32)
+        signs = np.where(rng.random(nan.sum()) < 0.5, np.uint32(1 << 31), np.uint32(0))
+        x.view(np.uint32)[nan] = payloads | signs
+        got = pool_forward(fmap(x), self.pool_spec(3, 2, 1)).data
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+        quiet = np.where(np.isnan(padded), np.uint32(0x00400000), np.uint32(0))
+        with np.errstate(invalid="ignore"):
+            round_trip = padded.astype(np.float64).astype(np.float32)
+        assert np.array_equal(bits(round_trip), bits(padded) | quiet)
+        for c, oy, ox in np.ndindex(got.shape):
+            window = np.s_[c, 2 * oy:2 * oy + 3, 2 * ox:2 * ox + 3]
+            assert bits(got[c, oy, ox]) in bits(padded[window]) | quiet[window]
+            assert np.isnan(got[c, oy, ox]) == np.isnan(padded[window]).any()
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     @pytest.mark.parametrize("k,s,p", [(2, 2, 0), (3, 1, 1), (3, 2, 1), (4, 3, 0)])
@@ -541,6 +567,126 @@ class TestFloat32Weights:
         setattr(spec, field, getattr(spec, field).astype(np.float64))
         with pytest.raises(ValueError, match="float32"):
             Session(graph)
+
+
+def weighted_layer(op, seed=0) -> tuple[FeatureMap, LayerSpec]:
+    """An input and a conv or fc layer over it with float32 weights."""
+    x = rand_map(seed, 2, 7, 6)
+    if op == "conv":
+        return x, conv_spec(3, 4, 2, 1, in_ch=2, seed=seed)
+    rng = np.random.default_rng(seed)
+    return x, fc_layer(rng.normal(size=(5, x.data.size)), rng.normal(size=5))
+
+
+def forward_and_naive(x, spec) -> tuple[np.ndarray, np.ndarray]:
+    """Bits of the layer's output and of its reference.conv_naive oracle."""
+    if spec.op == "fc":
+        return bits(fc_forward(x, spec).data), bits(fc_naive(x.data, spec.weights, spec.biases))
+    want = reference.conv_naive(x.data, spec.weights, spec.biases, spec.stride, spec.pad)
+    return bits(conv_forward(x, spec).data), bits(want)
+
+
+class TestConvForwardPreparedWeights:
+    """_conv_at reads a layer's weights prepared once in float64; the
+    prepared form follows the arrays on the spec and never goes stale."""
+
+    @pytest.mark.parametrize("op", ["conv", "fc"])
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_reassigned_arrays_are_used(self, op, field):
+        # The new array is read-only, as load_weights's are, so only its
+        # identity tells it from the one the layer was prepared from.
+        x, spec = weighted_layer(op)
+        first, _ = forward_and_naive(x, spec)
+        new = getattr(weighted_layer(op, seed=1)[1], field)
+        new.flags.writeable = False
+        setattr(spec, field, new)
+        got, want = forward_and_naive(x, spec)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, first)
+
+    @pytest.mark.parametrize("op", ["conv", "fc"])
+    def test_in_place_write_after_a_forward_raises(self, op):
+        x, spec = weighted_layer(op)
+        first, want = forward_and_naive(x, spec)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.weights[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.biases += 1.0
+        got, again = forward_and_naive(x, spec)
+        assert np.array_equal(first, want)
+        assert np.array_equal(got, want) and np.array_equal(again, want)
+
+    @pytest.mark.parametrize("op", ["conv", "fc"])
+    def test_deep_copy_is_prepared_again(self, op):
+        x, spec = weighted_layer(op)
+        first, _ = forward_and_naive(x, spec)
+        dup = copy.deepcopy(spec)
+        dup.weights *= -2.0
+        dup.biases[0] = 7.0
+        got, want = forward_and_naive(x, dup)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, first)
+        assert np.array_equal(forward_and_naive(x, spec)[0], first)
+
+    @pytest.mark.parametrize("op", ["conv", "fc"])
+    def test_weights_viewing_a_writeable_buffer_are_copied(self, op):
+        # Marking a view of a bytearray read-only does not stop writes
+        # through the bytearray, so the layer keeps read-only copies, and
+        # later writes to the buffer reach neither the spec nor its outputs.
+        x, spec = weighted_layer(op)
+        first, _ = forward_and_naive(x, spec)
+        bufs = [bytearray(a.tobytes()) for a in (spec.weights, spec.biases)]
+        spec.weights, spec.biases = (np.frombuffer(buf, np.float32).reshape(a.shape)
+                                     for buf, a in zip(bufs, (spec.weights, spec.biases)))
+        assert np.array_equal(forward_and_naive(x, spec)[0], first)
+        for buf in bufs:
+            assert not np.shares_memory(np.frombuffer(buf, np.uint8), spec.weights)
+            assert not np.shares_memory(np.frombuffer(buf, np.uint8), spec.biases)
+            buf[:] = bytes(len(buf))
+        got, want = forward_and_naive(x, spec)
+        assert np.array_equal(got, first) and np.array_equal(want, first)
+
+    def test_weights_viewing_an_immutable_blob_are_not_copied(self):
+        graph = parse_model(MODEL_TEXT)
+        blob = random_weights(graph, 0)
+        load_weights(blob, graph)
+        Session(graph)
+        for spec in graph.layers:
+            if spec.op in ("conv", "fc"):
+                assert np.shares_memory(np.frombuffer(blob, np.uint8), spec.weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(conv_cases(), st.data())
+    def test_reassigned_weights_on_extreme_values(self, case, data):
+        x, spec = case
+        conv_forward(x, spec)
+        spec.weights = data.draw(arrays(np.float32, spec.weights.shape,
+                                        elements=WEIGHT_VALUES, fill=st.nothing()))
+        if data.draw(st.booleans()):
+            spec.biases = -spec.biases
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = forward_and_naive(x, spec)
+        assert np.array_equal(got, want)
+
+    def test_session_prepares_every_weighted_layer(self, monkeypatch):
+        # Building the Session prepares c1, c2 and f1; its frames, and a
+        # second Session on the same graph, prepare nothing again.
+        graph = parse_model(MODEL_TEXT)
+        load_weights(random_weights(graph, 0), graph)
+        session = Session(graph)
+        weighted = [spec for spec in graph.layers if spec.op in ("conv", "fc")]
+        assert [spec.name for spec in weighted] == ["c1", "c2", "f1"]
+        for spec in weighted:
+            assert spec.prepared.weights is spec.weights
+            assert spec.prepared.biases is spec.biases
+            assert not spec.weights.flags.writeable and not spec.biases.flags.writeable
+        calls = []
+        norms = engine._weight_norms
+        monkeypatch.setattr(engine, "_weight_norms", lambda w64: calls.append(w64) or norms(w64))
+        for frame in synth_sequence(3, 32, 32, dx=2, dy=1, seed=4):
+            session.run_frame(frame)
+        Session(graph).run_frame(frame)
+        assert calls == []
 
 
 # The conv stack of the 227x227 benchmark model, inputs preprocessed as there.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -555,6 +556,16 @@ class TestCutGate:
         else:
             assert gated == ungated
 
+    @pytest.mark.parametrize("dx, dy", [(11, 11), (11, -11)])
+    def test_pan_off_a_small_frame_is_not_a_cut(self, dx, dy):
+        # The pan moves 24 of the 72 blocks out of view and the square
+        # hides more, so the match covers less than PRIOR_MIN of the grid
+        # but most of the blocks in view: the gate lets the search run.
+        ref, cur = synth_sequence(2, 96, 80, dx=dx, dy=dy, seed=0, square=True)
+        res = match_frames(cur, ref, MatcherConfig(threshold_t=PSNR_MAX - 1))
+        assert res.global_motion == (-dx, -dy) and res.stats.searches > 0
+        assert 0 < res.matched_block_count < PRIOR_MIN * 72
+
     @pytest.mark.parametrize("seed", range(4))
     def test_cut_returns_the_empty_result(self, seed):
         # Independent textures, as the scenes of a cut clip: no search.
@@ -596,6 +607,16 @@ class TestMatcherConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MatcherConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [("block_size", 10.5), ("threshold_t", 30.0),
+                                             ("strategy", "exhaustive")])
+    def test_fields_cannot_be_assigned(self, field, value):
+        # Checked once, at construction: a later assignment raises there,
+        # not midway through a stream.
+        cfg = MatcherConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == MatcherConfig()
 
     def test_numpy_integer_sizes_allowed(self):
         cfg = MatcherConfig(block_size=np.int64(10), skip_k=np.int32(1), search_range=np.int16(4))
