@@ -6,7 +6,9 @@ block search (diamond search by default), average the motion of well-matched
 blocks into one global offset, re-verify every block at that uniform offset,
 and merge adjacent verified blocks into maximal rectangles.  Steps 1, 4 and
 5 run on arrays over the block grid; Rects are built only for the merged
-mappings.
+mappings.  Step 4 scores every block at the one motion from a single
+difference of the two frames over the blocks' bounding box, summed per
+block, where the search gathers each block's candidate windows.
 
 Block similarity is PSNR over all channels jointly (MSE pooled across
 channels, peak value 255).  Identical blocks score the finite sentinel
@@ -15,7 +17,7 @@ channels, peak value 255).  Identical blocks score the finite sentinel
 Two accelerations are built in: Step 2 can search only every k-th grid row
 and column (``skip_k``), and every SSE the search computes lands in one
 table per search, indexed by block and offset, so Step 4 re-verification
-reads the ones at the global motion instead of recomputing them.  Both
+reads the ones at the global motion and scores only the other blocks.  Both
 search strategies score, range-check, count and rank their candidates
 through one method, ``_BlockBatch.best``; a strategy only chooses which
 offsets to try.
@@ -128,9 +130,12 @@ class MatchStats:
     # Step-2 block searches: 0 for a kept prediction and for a pair the cut
     # gate rejects (which covers nothing).
     searches: int = 0
-    # SSEs the call scored, all steps.  Each step scores a (block, offset)
-    # pair at most once, but after a rejected prediction the search and
-    # Step 4 may score pairs the prediction's verification already scored.
+    # SSEs the call scored, all steps: the search's (block, offset) pairs,
+    # and Step 4's blocks in view whose pair at the motion is not in the
+    # search's table.  Step 4's frame difference covers the table's blocks
+    # too, but they are not counted again.  After a rejected prediction the
+    # search and Step 4 may score pairs the prediction's verification
+    # already scored.
     psnr_evals: int = 0
 
 
@@ -444,21 +449,48 @@ def _round_half_away(numer: int, denom: int) -> int:
     return -((-2 * numer + denom) // (2 * denom))
 
 
-def _verify(cur16, ref16, bx, by, h: int, w: int, motion, cfg, sse, stats) -> np.ndarray:
-    """Step 4 for the h x w blocks at (by[i], bx[i]): the mask of those whose
-    counterpart at the uniform motion lies inside ref and scores above the
-    threshold.  sse[i] is block i's SSE at motion, NaN where not yet scored;
-    the rest are scored in one gather and written back."""
+def _verify(cur16, ref16, row, col, h: int, w: int, motion, cfg, sse, stats) -> np.ndarray:
+    """Step 4 for the cells (row[i], col[i]) of the grid of h x w blocks
+    anchored at (0, 0): the mask of those whose counterpart at the uniform
+    motion lies inside ref and scores above the threshold.
+
+    sse[i] is cell i's SSE at motion, NaN where not yet scored.  The rest
+    are scored from one difference of the frames over their bounding box:
+    squared, summed over channels, then over each cell by two reshape sums,
+    in int32 where a cell's SSE fits and in int64 otherwise, so every sum
+    is exact.  They are written back.  The in-view cells form a rectangle
+    of the grid, so the box at the motion lies inside ref.
+    """
     mx, my = motion
+    c, ref_h, ref_w = ref16.shape
+    by, bx = row * h, col * w
     inside = ((bx + mx >= 0) & (by + my >= 0)
-              & (bx + mx + w <= ref16.shape[2]) & (by + my + h <= ref16.shape[1]))
+              & (bx + mx + w <= ref_w) & (by + my + h <= ref_h))
     todo = np.flatnonzero(inside & np.isnan(sse))
-    sse[todo] = _window_sse(_gather(cur16, h, w, by[todo], bx[todo]), ref16, h, w,
-                            by[todo] + my, bx[todo] + mx)
+    if todo.size:
+        r, k = row[todo], col[todo]
+        r0, c0 = r.min(), k.min()
+        nr, nc = r.max() + 1 - r0, k.max() + 1 - c0
+        y0, x0 = r0 * h, c0 * w
+        d = np.subtract(ref16[:, y0 + my:y0 + my + nr * h, x0 + mx:x0 + mx + nc * w],
+                        cur16[:, y0:y0 + nr * h, x0:x0 + nc * w], dtype=np.int32)
+        d *= d
+        acc = np.int32 if h * w * c * 65025 < 2**31 else np.int64
+        cells = d.sum(axis=0, dtype=acc).reshape(nr, h, nc * w).sum(axis=1, dtype=acc)
+        cells = cells.reshape(nr, nc, w).sum(axis=2, dtype=acc)
+        sse[todo] = cells[r - r0, k - c0]
     stats.psnr_evals += todo.size
-    count = cur16.shape[0] * h * w
+    # psnr_from_sse(v, count) > threshold_t is v < lim for v > 0; an SSE of
+    # 0, or one so near lim that rounding could decide, is scored exactly.
+    count = c * h * w
+    t = cfg.threshold_t
+    lim = 65025.0 * count * 10.0 ** (-t / 10)
+    v = sse[inside]
+    passed = v < lim
+    for i in np.flatnonzero((v == 0) | (abs(v - lim) <= 1e-9 * lim)).tolist():
+        passed[i] = psnr_from_sse(float(v[i]), count) > t
     ok = inside.copy()
-    ok[inside] = [psnr_from_sse(v, count) > cfg.threshold_t for v in sse[inside].tolist()]
+    ok[inside] = passed
     return ok
 
 
@@ -467,7 +499,9 @@ def verify_blocks(cur: Frame, ref: Frame, grid: list[Rect], motion: tuple[int, i
     """Step 4: keep blocks whose counterpart at the uniform motion offset
     lies inside ref and scores above the threshold.
 
-    The grid's blocks must be non-empty, lie inside cur and share one size.
+    The blocks must be cells of one grid anchored at (0, 0), as
+    partition_grid's are: non-empty, inside cur, of one size w x h, with
+    x a multiple of w and y of h.
     """
     if cur.data.shape != ref.data.shape:
         raise ValueError("cur and ref must have identical dimensions")
@@ -476,10 +510,12 @@ def verify_blocks(cur: Frame, ref: Frame, grid: list[Rect], motion: tuple[int, i
     frame = Rect(0, 0, cur.width, cur.height)
     w, h = grid[0].w, grid[0].h
     for block in grid:
-        if block.is_empty or not frame.contains(block) or (block.w, block.h) != (w, h):
-            raise ValueError(f"block {block} is empty, outside the frame, or not {w}x{h}")
+        if (block.is_empty or not frame.contains(block) or (block.w, block.h) != (w, h)
+                or block.x % w or block.y % h):
+            raise ValueError(f"block {block} is empty, outside the frame, or not a "
+                             f"cell of the {w}x{h} grid")
     ok = _verify(cur.data.astype(np.int16), ref.data.astype(np.int16),
-                 np.array([b.x for b in grid]), np.array([b.y for b in grid]), h, w,
+                 np.array([b.y // h for b in grid]), np.array([b.x // w for b in grid]), h, w,
                  motion, cfg, np.full(len(grid), np.nan), MatchStats())
     return [block for block, keep in zip(grid, ok.tolist()) if keep]
 
@@ -492,7 +528,9 @@ def _merge(verified: np.ndarray, w: int, h: int, motion) -> list[RegionMapping]:
     the one before it when both span the same columns in adjacent rows.
     Rectangles are returned in (y, x) order.
     """
-    edges = np.diff(np.pad(verified, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    edges = np.zeros((verified.shape[0], verified.shape[1] + 1), dtype=np.int8)
+    edges[:, :-1] = verified
+    edges[:, 1:] -= verified
     row, c0 = np.nonzero(edges == 1)
     _, c1 = np.nonzero(edges == -1)
     order = np.lexsort((row, c1, c0))
@@ -557,11 +595,10 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
     bs, k = cfg.block_size, cfg.skip_k
     rows, cols = _grid_shape(cur.width, cur.height, bs)
     row, col = np.indices((rows, cols)).reshape(2, -1)
-    by, bx = row * bs, col * bs
     stats = MatchStats()
 
     def finish(motion, sse) -> MatchResult:
-        verified = _verify(cur16, ref16, bx, by, bs, bs, motion, cfg, sse, stats)
+        verified = _verify(cur16, ref16, row, col, bs, bs, motion, cfg, sse, stats)
         matched = int(verified.sum())
         return MatchResult(
             mappings=_merge(verified.reshape(rows, cols), bs, bs, motion),
@@ -580,7 +617,7 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
         return MatchResult([], (0, 0), 0.0, 0, stats)
 
     searched = np.flatnonzero((row % k == 0) & (col % k == 0))
-    batch = _BlockBatch(cur16, ref16, bx[searched], by[searched], bs, bs, cfg, stats)
+    batch = _BlockBatch(cur16, ref16, col[searched] * bs, row[searched] * bs, bs, bs, cfg, stats)
     offsets, best = batch.search()
     stats.searches += batch.n
 

@@ -108,8 +108,14 @@ def propagate_mappings(mappings: list[RegionMapping], geom: LayerGeom) -> list[R
     """Transform a mapping list through one layer, dropping casualties.
 
     Disjoint dst rectangles stay disjoint: an output's input window lies
-    inside at most one of them.
+    inside at most one of them.  An elementwise layer passes every
+    non-empty mapping through as it is and a fully connected layer none,
+    so neither builds new Rects.
     """
+    if geom.layer_type is LayerType.ELEMENTWISE:
+        return [m for m in mappings if not m.dst.is_empty]
+    if geom.layer_type is LayerType.FULLY_CONNECTED:
+        return []
     out = (transform_mapping(m, geom) for m in mappings)
     return [m for m in out if m is not None]
 

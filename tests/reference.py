@@ -117,6 +117,22 @@ def psnr_ref(a, b):
     return 10.0 * math.log10(65025 * a.size / sse)
 
 
+def verify_blocks_ref(cur, ref, blocks, motion, threshold_t):
+    """Step 4 block by block: the (x, y, w, h) blocks of cur, in order, whose
+    counterpart moved by motion lies inside ref and scores a PSNR above
+    threshold_t.  cur/ref are (C, H, W) uint8 arrays."""
+    _, h, w = ref.shape
+    mx, my = motion
+    kept = []
+    for x, y, bw, bh in blocks:
+        sx, sy = x + mx, y + my
+        if sx < 0 or sy < 0 or sx + bw > w or sy + bh > h:
+            continue
+        if psnr_ref(cur[:, y:y + bh, x:x + bw], ref[:, sy:sy + bh, sx:sx + bw]) > threshold_t:
+            kept.append((x, y, bw, bh))
+    return kept
+
+
 def exhaustive_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_range):
     """Scan every in-bounds offset; ties by (|dx|+|dy|, dy, dx).
 

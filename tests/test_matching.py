@@ -16,7 +16,8 @@ from framecache.synth import synth_sequence
 from framecache import matching
 from framecache.matching import (PRIOR_KEEP, PRIOR_MIN, _BlockBatch, _window_sse,
                                  psnr_from_sse)
-from reference import diamond_search_ref, exhaustive_search_ref, merge_blocks_ref, psnr_ref
+from reference import (diamond_search_ref, exhaustive_search_ref, merge_blocks_ref, psnr_ref,
+                       verify_blocks_ref)
 
 
 def noise_frame(seed, channels=1, h=24, w=24):
@@ -246,6 +247,7 @@ class TestVerifyBlocks:
         [Rect(0, 35, 10, 10)],                       # past the bottom edge
         [Rect(0, 0, 0, 10)],                         # empty
         [Rect(0, 0, 10, 10), Rect(10, 0, 8, 8)],     # sizes differ
+        [Rect(5, 0, 10, 10)],                        # off the grid
     ])
     def test_rejects_bad_blocks(self, grid):
         # a constant frame would verify any block scored against wrapped or
@@ -253,6 +255,106 @@ class TestVerifyBlocks:
         f = Frame(np.full((1, 40, 40), 7, dtype=np.uint8))
         with pytest.raises(ValueError):
             verify_blocks(f, f, grid, (5, 0), MatcherConfig())
+
+
+@st.composite
+def step4_cases(draw):
+    """(cur, ref, cells, motion, threshold_t): a frame pair whose margins
+    need not be whole blocks, grid cells in any order, and a motion that
+    keeps them in view, moves them partly out of it or all out of it.  A
+    shifted pair has blocks of SSE 0 and of small SSEs; a saturated pair has
+    3-channel 105 x 105 blocks whose SSE, every sample 255 apart, exceeds
+    int32."""
+    kind = draw(st.sampled_from(("shift", "noise", "saturated")))
+    c, bs = (3, 105) if kind == "saturated" else (draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    h, w = (bs * draw(st.integers(1, 5)) + draw(st.integers(0, bs - 1)) for _ in range(2))
+    motion = tuple(draw(st.integers(-3, 3) | st.integers(-n - 2, n + 2)) for n in (w, h))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "saturated":
+        ref = rng.choice([0, 255], size=(c, h, w))
+    else:
+        ref = rng.integers(0, 256, size=(c, h, w))
+    cur = rng.integers(0, 256, size=(c, h, w))
+    if kind != "noise":
+        # cur at (x, y) is ref at (x + mx, y + my) where that is in view,
+        # inverted if saturated, else with a share of samples moved by up
+        # to 3
+        mx, my = motion
+        y0, y1, x0, x1 = max(0, -my), min(h, h - my), max(0, -mx), min(w, w - mx)
+        if y0 < y1 and x0 < x1:
+            cur[:, y0:y1, x0:x1] = ref[:, y0 + my:y1 + my, x0 + mx:x1 + mx]
+        if kind == "saturated":
+            cur = 255 - cur
+        else:
+            share = draw(st.sampled_from((0.0, 0.01, 0.1)))
+            cur += rng.integers(-3, 4, size=cur.shape) * (rng.random(cur.shape) < share)
+    grid = partition_grid(w, h, bs)
+    cells = draw(st.permutations(grid))[:draw(st.integers(1, len(grid)))]
+    threshold = draw(st.sampled_from((PSNR_MAX - 1, PSNR_MAX, math.inf))
+                     | st.floats(0.5, PSNR_MAX + 1))
+    return (Frame(np.clip(cur, 0, 255).astype(np.uint8)), Frame(ref.astype(np.uint8)),
+            cells, motion, threshold)
+
+
+def as_tuples(rects):
+    return [(r.x, r.y, r.w, r.h) for r in rects]
+
+
+class TestVerifyOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(step4_cases())
+    def test_verify_blocks_equals_the_oracle(self, case):
+        cur, ref, cells, motion, t = case
+        cfg = MatcherConfig(block_size=cells[0].w, threshold_t=t)
+        assert as_tuples(verify_blocks(cur, ref, cells, motion, cfg)) == \
+            verify_blocks_ref(cur.data, ref.data, as_tuples(cells), motion, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(step4_cases())
+    def test_kept_prediction_equals_the_oracle(self, case):
+        # A prior covering PRIOR_MIN is kept when the oracle's blocks cover
+        # PRIOR_KEEP of that; it scores every block in view, once.
+        cur, ref, cells, motion, t = case
+        bs = cells[0].w
+        cfg = MatcherConfig(block_size=bs, threshold_t=t)
+        res = match_frames(cur, ref, cfg, prior=MatchResult([], motion, PRIOR_MIN, 0))
+        grid = as_tuples(partition_grid(cur.width, cur.height, bs))
+        verified = verify_blocks_ref(cur.data, ref.data, grid, motion, t)
+        ratio = len(verified) * bs * bs / (cur.width * cur.height)
+        if ratio >= PRIOR_KEEP * PRIOR_MIN:
+            in_view = verify_blocks_ref(cur.data, ref.data, grid, motion, -math.inf)
+            assert (res.global_motion, res.match_ratio, res.matched_block_count,
+                    res.stats.searches, res.stats.psnr_evals) == \
+                (motion, ratio, len(verified), 0, len(in_view))
+            assert [((m.dst.x, m.dst.y, m.dst.w, m.dst.h), (m.src.x, m.src.y, m.src.w, m.src.h))
+                    for m in res.mappings] == merge_blocks_ref(verified, motion)
+        else:
+            assert res.stats.searches > 0 or res.match_ratio == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 4), bs=st.integers(3, 8), margin=st.integers(0, 7), data=st.data())
+    def test_threshold_at_a_block_sse(self, c, bs, margin, data):
+        # At threshold_t = psnr_from_sse(s0, count), blocks of SSE s0 + 1
+        # and s0 fail and one of s0 - 1 passes, however close their PSNRs.
+        count = c * bs * bs
+        s0 = data.draw(st.integers(2, (count - 8) * 65025))
+        cur = np.zeros((c, bs + margin % bs, 3 * bs + margin), dtype=np.uint8)
+        ref = cur.copy()
+        for cell, sse in enumerate((s0 + 1, s0, s0 - 1)):
+            # greedy squares: at most 7 beyond sse // 255**2, so they fit
+            diffs = []
+            while sse:
+                diffs.append(min(255, math.isqrt(sse)))
+                sse -= diffs[-1] ** 2
+            block = np.zeros(count, dtype=np.uint8)
+            block[:len(diffs)] = diffs
+            ref[:, :bs, cell * bs:(cell + 1) * bs] = block.reshape(c, bs, bs)
+        t = psnr_from_sse(s0, count)
+        cur_f, ref_f = Frame(cur), Frame(ref)
+        grid = partition_grid(cur_f.width, cur_f.height, bs)
+        out = verify_blocks(cur_f, ref_f, grid, (0, 0), MatcherConfig(block_size=bs, threshold_t=t))
+        assert as_tuples(out) == verify_blocks_ref(cur, ref, as_tuples(grid), (0, 0), t)
+        assert grid[0] not in out and grid[1] not in out and grid[2] in out
 
 
 class TestMergeBlocks:
