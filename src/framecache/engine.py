@@ -33,20 +33,28 @@ together never changes a value.  It does not sum term by term on its
 common path: a float64 matrix product in whatever order the BLAS picks
 comes with a rigorous error bound covering its distance to the
 fixed-order sum, and where every value inside that bound rounds to the
-same float32 the stored result is known (_screen).  The bound scales with
-the terms' magnitudes, which Cauchy-Schwarz caps at |b| + ||x|| * ||w||
-for window x and weight row w, widened by 1 + 4*(n+2)*u to cover its own
-rounding (_weight_norms), so the matrix product is the only BLAS product
-per pixel.  The rare entries the screen does not settle (exact zeros,
-heavy cancellation, non-finite terms) are summed in the fixed order.
+same float32 the stored result is known (_screen).  The product reads
+im2col rows gathered from a channels-last copy of the input, so each row
+is in (kernel row, kernel col, input channel) order, and the weights are
+prepared in that column order; the order of the product's terms is free,
+so only the BLAS's order changes.  The bound scales with the terms'
+magnitudes, which Cauchy-Schwarz caps at |b| + ||x|| * ||w|| for window x
+and weight row w, widened by 1 + 4*(n+2)*u to cover its own rounding
+(_weight_norms).  Any upper bound on ||x|| serves, so the screen runs in
+two stages: first under one number for every window, sqrt(n) * max|x|
+over the whole input, then, for the pixels that leaves unsettled, under
+each window's own 2-norm.  So the matrix product is the only pass over
+most im2col rows.  The rare entries neither stage settles (exact zeros,
+heavy cancellation, non-finite terms) are permuted back to the fixed
+order and summed in it.
 What the kernel needs of a layer's weights alone (the float64 weights
-and biases, the weight rows' norm bounds and |b|) is prepared once per
-weights/biases pair and kept on the LayerSpec (_prepare_weights); a
-Session prepares every conv and fc layer when it is built, and a kernel
-called directly prepares on first use.  From then on the float32 arrays
-are read-only: new weights are assigned, never written in place.  An
-array whose memory another reference could still write (a view of a
-bytearray blob) is replaced on the spec by a read-only copy.
+and biases, the column permutation, the weight rows' norm bounds and |b|)
+is prepared once per weights/biases pair and kept on the LayerSpec
+(_prepare_weights); a Session prepares every conv and fc layer when it is
+built, and a kernel called directly prepares on first use.  From then on
+the float32 arrays are read-only: new weights are assigned, never written
+in place.  An array whose memory another reference could still write (a
+view of a bytearray blob) is replaced on the spec by a read-only copy.
 Max pooling compares in float32: the max of float32 values is one of
 them, whose bits it stores, a NaN quieted as a float64 cast quiets it.
 Softmax's normalizer, the one sum with no fixed order, is correctly
@@ -79,12 +87,13 @@ class LayerSpec:
     bias**beta in float64's normal range or above.
     weights/biases stay None until a weight blob is loaded (conv and fc
     only), and must then be float32.  prepared holds what _conv_at reads
-    of them: the float64 weights and biases, the weight rows' norm bounds
-    and |b| (see _prepare_weights).  It is built once per weights/biases
-    pair, when a Session is built or a kernel first runs, and from then on
-    both arrays are read-only, so an in-place write raises; assign new
-    arrays to change a layer's weights.  An array that views memory
-    another reference can write is first replaced by a read-only copy.
+    of them: the float64 weights and biases, the column permutation back
+    to the fixed order, the weight rows' norm bounds and |b| (see
+    PreparedWeights).  It is built once per weights/biases pair, when a
+    Session is built or a kernel first runs, and from then on both arrays
+    are read-only, so an in-place write raises; assign new arrays to
+    change a layer's weights.  An array that views memory another
+    reference can write is first replaced by a read-only copy.
     """
 
     name: str
@@ -317,9 +326,9 @@ def _screen(s: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     """Settle sums of n float64 terms from a product in unknown order.
 
     s is the terms' sum, computed in any order, and a an upper bound on
-    the sum of their magnitudes.  Returns the float32 array that holds
-    the stored result wherever it is settled, and the boolean mask of the
-    entries that are not.
+    the sum of their magnitudes, of s's shape or one that broadcasts to
+    it.  Returns the float32 array that holds the stored result wherever
+    it is settled, and the boolean mask of the entries that are not.
 
     Summing n float64 terms in any order lands within
     gamma = (n-1)*u/(1-(n-1)*u) times the sum of their magnitudes of the
@@ -348,8 +357,10 @@ def _weight_norms(w64: np.ndarray) -> np.ndarray:
     """Per-row factors of the Cauchy-Schwarz bound for a layer's
     (out_ch, n) matrix of float32 weights held in float64, one row per
     output channel (or fc output): for any float32 vector x, the
-    float64 product of its 2-norm (the square root of its sum of squares,
-    summed in any order) with entry r is at least sum_i |w64[r, i] * x_i|.
+    float64 product of its 2-norm with entry r is at least
+    sum_i |w64[r, i] * x_i|.  The 2-norm may be computed (the square root
+    of its sum of squares, summed in any order) or any float64 at least
+    the exact one, as _conv_at's stage-1 bound is.
 
     Each row's 2-norm is widened by the margin 1 + 4*(n+2)*u, which covers
     the rounding of both sums of squares (gamma_n each, halved by the
@@ -357,7 +368,8 @@ def _weight_norms(w64: np.ndarray) -> np.ndarray:
     room to spare.  The squares of float32 values are exact and never
     overflow or underflow in float64, nor do the norms or their product;
     a row holding an infinity or NaN gives a non-finite bound, which
-    leaves its entries unsettled.
+    leaves its entries unsettled.  A row's norm does not depend on the
+    order of its columns.
     """
     return np.sqrt(np.einsum("ij,ij->i", w64, w64)) * (1.0 + 4 * (w64.shape[1] + 2) * _U64)
 
@@ -366,13 +378,19 @@ class PreparedWeights(NamedTuple):
     """A conv or fc layer's weights in the form _conv_at reads them.
 
     weights and biases are the float32 arrays it was built from; w64 holds
-    the weights in float64 as an (out_ch, n) matrix, b64 the biases in
-    float64, w_norms the _weight_norms of w64 and b_abs |b64|.
+    the weights in float64 as an (out_ch, n) matrix whose columns run in
+    (kernel row, kernel col, input channel) order, the order of _conv_at's
+    channels-last im2col rows; order is the permutation of those columns
+    that restores the fixed summation order (input channel, kernel row,
+    kernel col).  b64 holds the biases in float64, w_norms the
+    _weight_norms of w64 and b_abs |b64|.  An fc layer is a 1x1 kernel, so
+    both orders are its flattened input order and order is the identity.
     """
 
     weights: np.ndarray
     biases: np.ndarray
     w64: np.ndarray
+    order: np.ndarray
     b64: np.ndarray
     w_norms: np.ndarray
     b_abs: np.ndarray
@@ -415,10 +433,21 @@ def _prepare_weights(spec: LayerSpec) -> PreparedWeights:
             or not _read_only(w) or not _read_only(b)):
         w = spec.weights = _frozen(w)
         b = spec.biases = _frozen(b)
-        w64 = w.astype(np.float64).reshape(len(w), -1)
+        # fc weights are (out, n): a 1x1 kernel over n channels.
+        out_ch, c, kh, kw = w.shape if w.ndim == 4 else (*w.shape, 1, 1)
+        w64 = np.ascontiguousarray(w.reshape(out_ch, c, kh, kw).transpose(0, 2, 3, 1),
+                                   dtype=np.float64).reshape(out_ch, -1)
+        order = np.arange(w64.shape[1]).reshape(kh, kw, c).transpose(2, 0, 1).ravel()
         b64 = b.astype(np.float64)
-        prep = spec.prepared = PreparedWeights(w, b, w64, b64, _weight_norms(w64), np.abs(b64))
+        prep = spec.prepared = PreparedWeights(w, b, w64, order, b64, _weight_norms(w64),
+                                               np.abs(b64))
     return prep
+
+
+def _fixed_order(b: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """b[i] + terms[i, 0] + terms[i, 1] + ..., added one at a time in
+    float64 by one sequential np.add.accumulate: the fixed-order sum."""
+    return np.add.accumulate(np.concatenate([b[:, None], terms], axis=1), axis=1)[:, -1]
 
 
 def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
@@ -433,47 +462,59 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
 
     Each output stores the float32 of its fixed-order float64 sum: bias
     first, then the weight*input terms in (input channel, kernel row,
-    kernel col) ascending order, added one at a time.  The pixels' windows
-    are gathered as im2col rows, at most _CHUNK_ELEMS values at a time,
-    and multiplied by the weights in float64 in whatever order the BLAS
-    picks; each row's squared 2-norm is summed next to that product.  The
-    terms' magnitudes are bounded by Cauchy-Schwarz:
-    |b| + ||window|| * ||w|| * (1 + 4*(n+2)*u) (see _weight_norms), and
-    _screen settles every entry whose error interval under that bound
-    stores as one float32, which is then the fixed-order sum's.  The few
-    entries it leaves unsettled (exact zeros, near-ties, non-finite terms)
-    have their windows gathered again and are summed in the fixed order
-    by one sequential np.add.accumulate.  So a pixel's value depends
-    neither on which other pixels are computed with it nor on the
-    chunking.
+    kernel col) ascending order, added one at a time.  The input is copied
+    once into a zero-padded channels-last float64 plane, so each pixel's
+    window is k runs of k*in_ch contiguous values; the windows are
+    gathered as im2col rows in (kernel row, kernel col, input channel)
+    order, at most _CHUNK_ELEMS values at a time, and multiplied by the
+    weights (prepared in the same column order) in float64 in whatever
+    order the BLAS picks.  The terms' magnitudes are bounded by
+    Cauchy-Schwarz, |b| + ||window|| * ||w|| (see _weight_norms), in two
+    stages.  Stage 1 bounds every window's 2-norm by one number,
+    sqrt(n) * max|x| over the whole input (||x||_2 <= sqrt(n)*||x||_inf),
+    widened by 1 + 4*u so that its three roundings leave it above that,
+    and _screen settles every entry whose error interval under that bound
+    stores as one float32, which is then the fixed-order sum's.
+    Stage 2 gathers again only the pixels with an entry stage 1 left
+    unsettled, sums their windows' squares and screens those pixels under
+    their own window norms, the bound a per-window screen would use.  The
+    few entries it leaves unsettled (exact zeros, near-ties, non-finite
+    terms) are permuted back to the fixed order and summed in it
+    (_fixed_order).  So a pixel's value depends neither on which other
+    pixels are computed with it nor on the chunking.
     """
     k, s, p = spec.kernel, spec.stride, spec.pad
     prep = _prepare_weights(spec)
     w64, b64 = prep.w64, prep.b64
-    out_ch = len(w64)
-    padded = _pad_input(input.data.astype(np.float64), p)
-    # (out_y, out_x, in_ch, ky, kx) view of every output pixel's window.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (k, k), axis=(1, 2))[:, ::s, ::s].transpose(1, 2, 0, 3, 4)
-    n_cols = w64.shape[1]
+    out_ch, n_cols = w64.shape
+    c, h, w = input.data.shape
+    plane = np.zeros((h + 2 * p, w + 2 * p, c))
+    plane[p:p + h, p:p + w] = input.data.transpose(1, 2, 0)
+    # (out_y, out_x, ky, kx*in_ch) view of every output pixel's window.
+    row, col, item = plane.strides
+    windows = np.lib.stride_tricks.as_strided(
+        plane, ((h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1, k, k * c),
+        (s * row, s * col, row, item), writeable=False)
     sums = np.empty((idx_y.size, out_ch))
-    norms = np.empty(idx_y.size)
     step = max(1, _CHUNK_ELEMS // n_cols)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, idx_y.size, step):
             px = slice(lo, lo + step)
             cols = windows[idx_y[px], idx_x[px]].reshape(-1, n_cols)
             np.matmul(cols, w64.T, out=sums[px])
-            np.einsum("ij,ij->i", cols, cols, out=norms[px])
         sums += b64
-        bound = np.multiply.outer(np.sqrt(norms, out=norms), prep.w_norms)
-        bound += prep.b_abs
-        out, unsettled = _screen(sums, bound, n_cols + 1)
-        pix, ch = np.divmod(np.flatnonzero(unsettled), out_ch)
-        if pix.size:
+        x_norm = math.sqrt(n_cols) * (1.0 + 4 * _U64) * float(np.abs(input.data).max())
+        out, unsettled = _screen(sums, x_norm * prep.w_norms + prep.b_abs, n_cols + 1)
+        rows = np.flatnonzero(unsettled.any(axis=1))
+        for lo in range(0, rows.size, step):
+            pix = rows[lo:lo + step]
             cols = windows[idx_y[pix], idx_x[pix]].reshape(-1, n_cols)
-            terms = np.concatenate([b64[ch, None], w64[ch] * cols], axis=1)
-            out[pix, ch] = np.add.accumulate(terms, axis=1)[:, -1]
+            bound = np.multiply.outer(np.sqrt(np.einsum("ij,ij->i", cols, cols)), prep.w_norms)
+            bound += prep.b_abs
+            out[pix], left = _screen(sums[pix], bound, n_cols + 1)
+            r, ch = np.nonzero(left)
+            if r.size:
+                out[pix[r], ch] = _fixed_order(b64[ch], (w64[ch] * cols[r])[:, prep.order])
     return np.ascontiguousarray(out.T)
 
 

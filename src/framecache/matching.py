@@ -12,7 +12,10 @@ block, where the search gathers each block's candidate windows.
 
 Block similarity is PSNR over all channels jointly (MSE pooled across
 channels, peak value 255).  Identical blocks score the finite sentinel
-``PSNR_MAX`` so the metric stays totally ordered.
+``PSNR_MAX`` so the metric stays totally ordered, and every other block
+scores at most ``PSNR_MAX - 1``, however many samples it holds, so a block
+never outscores one with a smaller SSE, and threshold_t = PSNR_MAX - 1
+verifies only identical blocks.
 
 Two accelerations are built in: Step 2 can search only every k-th grid row
 and column (``skip_k``), and every SSE the search computes lands in one
@@ -168,10 +171,14 @@ def partition_grid(frame_w: int, frame_h: int, block_size: int) -> list[Rect]:
 
 
 def psnr_from_sse(sse: float, count: int) -> float:
-    """PSNR in dB for a squared-error sum over `count` 8-bit samples."""
+    """PSNR in dB for a squared-error sum over `count` 8-bit samples:
+    PSNR_MAX for an SSE of 0, and at most PSNR_MAX - 1 for any other.  The
+    cap binds only where an SSE of 1 would score above it, in blocks of
+    more than 122,158 samples; uncapped, it would score above PSNR_MAX
+    beyond 153,787."""
     if sse == 0:
         return PSNR_MAX
-    return 10.0 * math.log10(65025.0 * count / sse)
+    return min(10.0 * math.log10(65025.0 * count / sse), PSNR_MAX - 1)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -480,11 +487,12 @@ def _verify(cur16, ref16, row, col, h: int, w: int, motion, cfg, sse, stats) -> 
         cells = cells.reshape(nr, nc, w).sum(axis=2, dtype=acc)
         sse[todo] = cells[r - r0, k - c0]
     stats.psnr_evals += todo.size
-    # psnr_from_sse(v, count) > threshold_t is v < lim for v > 0; an SSE of
-    # 0, or one so near lim that rounding could decide, is scored exactly.
+    # psnr_from_sse(v, count) > threshold_t is v < lim for v > 0, and no
+    # v > 0 passes from PSNR_MAX - 1 up, where lim is 0; an SSE of 0, or
+    # one so near lim that rounding could decide, is scored exactly.
     count = c * h * w
     t = cfg.threshold_t
-    lim = 65025.0 * count * 10.0 ** (-t / 10)
+    lim = 65025.0 * count * 10.0 ** (-t / 10) if t < PSNR_MAX - 1 else 0.0
     v = sse[inside]
     passed = v < lim
     for i in np.flatnonzero((v == 0) | (abs(v - lim) <= 1e-9 * lim)).tolist():

@@ -148,22 +148,14 @@ class TestConvForward:
 
     def test_all_zero_window_stores_positive_zero(self, monkeypatch):
         # Zero inputs (and zero padding) under zero biases: every sum is an
-        # exact zero, which the screen leaves unsettled, and the fixed-order
-        # path stores +0.0 however the weights' signs make the terms -0.0.
-        unsettled = []
-        screen = engine._screen
-
-        def counting(sums, bound, n):
-            out, mask = screen(sums, bound, n)
-            unsettled.append(int(mask.sum()))
-            return out, mask
-
-        monkeypatch.setattr(engine, "_screen", counting)
+        # exact zero, which no bound settles, and the fixed-order path
+        # stores +0.0 however the weights' signs make the terms -0.0.
+        fixed = fixed_order_entries(monkeypatch)
         x = fmap(np.zeros((2, 4, 4)))
         spec = conv_spec(3, 3, 1, 1, in_ch=2)
         spec.biases = np.zeros(3, dtype=np.float32)
         got = bits(conv_forward(x, spec).data)
-        assert sum(unsettled) == got.size
+        assert sum(fixed) == got.size
         assert np.array_equal(got, bits(reference.conv_naive(x.data, spec.weights,
                                                               spec.biases, 1, 1)))
         assert not got.any()
@@ -208,6 +200,57 @@ class TestConvForward:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channels"):
             conv_forward(rand_map(0, 3, 5, 5), conv_spec(3, 1, in_ch=2))
+
+
+@st.composite
+def wide_conv_cases(draw):
+    """(input map, spec, rect) with up to 40 input channels, kernels up to
+    11 and at most 3x3 output pixels, so that conv_naive stays quick.
+    Half the inputs pass a ReLU first.  Half the cases stack the input on
+    itself and the weights on their negation, with zero biases, so that
+    every window cancels to a residue that only the fixed order fixes;
+    then one input value is +-1e30 or +-inf.  rect is a rectangle of
+    output pixels for the cached path to copy."""
+    cancel = draw(st.booleans())
+    c = 2 * draw(st.integers(1, 20)) if cancel else draw(st.integers(1, 40))
+    k, out_ch = draw(st.integers(1, 11)), draw(st.integers(1, 2))
+    s, p = draw(st.integers(1, 3)), draw(st.integers(0, min(2, k - 1)))
+    out_h, out_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = (max(1, (n - 1) * s + k - 2 * p) for n in (out_h, out_w))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = conv_spec(k, out_ch, s, p, in_ch=c, seed=int(rng.integers(2**32)))
+    x = rng.uniform(-2.0, 2.0, size=(c, h, w))
+    if cancel:
+        x[c // 2:] = x[:c // 2]
+        spec.weights[:, c // 2:] = -spec.weights[:, :c // 2]
+        spec.biases = np.zeros(out_ch, dtype=np.float32)
+    if draw(st.booleans()):
+        x = np.maximum(x, 0.0)
+    x[tuple(draw(st.integers(0, n - 1)) for n in x.shape)] = \
+        draw(st.sampled_from([1e30, -1e30, np.inf, -np.inf]))
+    oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    y0, x0 = draw(st.integers(0, oh - 1)), draw(st.integers(0, ow - 1))
+    rect = Rect(x0, y0, draw(st.integers(0, ow - x0)), draw(st.integers(0, oh - y0)))
+    return fmap(x), spec, rect
+
+
+class TestWideWindows:
+    """The kernel's channels-last im2col rows, and the permutation back
+    to the fixed order, over many channels and wide kernels."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_conv_cases())
+    def test_both_entry_points_match_naive(self, case):
+        x, spec, rect = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = reference.conv_naive(x.data, spec.weights, spec.biases, spec.stride,
+                                        spec.pad)
+        assert np.array_equal(bits(conv_forward(x, spec).data), bits(want))
+        # Copy rect from the oracle's own output and compute the rest.
+        got, _, copied = conv_forward_cached(x, spec, FeatureMap(want),
+                                             [RegionMapping(dst=rect, src=rect)])
+        assert copied == rect.area * len(want)
+        assert np.array_equal(bits(got.data), bits(want))
 
 
 class TestPoolForward:
@@ -426,16 +469,19 @@ class TestFcForward:
         assert np.array_equal(bits(fc_forward(x, spec).data), bits(want))
 
     def test_cancelling_row_takes_exact_path(self, monkeypatch):
-        # Row 1 cancels to exactly zero: its interval straddles -0.0/+0.0,
-        # so it alone is left unsettled, summed in the fixed order, and
-        # must store +0.0.
+        # Row 1 cancels to exactly zero: its interval straddles -0.0/+0.0
+        # under every bound, so it alone is left unsettled, summed in the
+        # fixed order, and must store +0.0.
         screen = engine._screen
         calls = captured_screens(monkeypatch)
+        fixed = fixed_order_entries(monkeypatch)
         w = [[1.0, 2.0, 3.0], [0.1, -0.1, 0.0], [-4.0, 0.5, 1.0]]
         x = fmap(np.array([1.0, 1.0, 2.0]).reshape(3, 1, 1))
         got = fc_forward(x, fc_layer(w, [0.5, -0.0, 0.25])).data.ravel()
-        (s, a, n), = calls
-        assert screen(s, a, n)[1].ravel().tolist() == [False, True, False]
+        assert calls
+        for s, a, n in calls:
+            assert screen(s, a, n)[1].ravel().tolist() == [False, True, False]
+        assert fixed == [1]
         assert np.array_equal(bits(got), bits([9.5, 0.0, -1.25]))
 
     def test_flatten_order_is_channel_row_col(self):
@@ -451,17 +497,37 @@ class TestFcForward:
             fc_forward(rand_map(0, 2, 3, 3), self.fc_spec(4, 10))
 
 
-def captured_screens(patch: pytest.MonkeyPatch) -> list:
-    """Patch engine._screen to record a copy of every (sums, bound, n) it gets."""
+def captured_screens(patch: pytest.MonkeyPatch, settle: bool = True) -> list:
+    """Patch engine._screen to record a copy of every (sums, bound, n) it
+    gets.  With settle False the patched screen settles nothing, so the
+    kernel hands every bound it computes over every pixel to the screen,
+    each bound's rows in pixel order, and sums every entry in the fixed
+    order."""
     calls = []
     screen = engine._screen
 
     def capture(s, a, n):
         calls.append((s.copy(), a.copy(), n))
+        if not settle:
+            return s.astype(np.float32), np.ones(s.shape, dtype=bool)
         return screen(s, a, n)
 
     patch.setattr(engine, "_screen", capture)
     return calls
+
+
+def fixed_order_entries(patch: pytest.MonkeyPatch) -> list:
+    """Patch engine._fixed_order to record how many entries each call sums:
+    the entries no bound settled."""
+    counts = []
+    fixed = engine._fixed_order
+
+    def count(b, terms):
+        counts.append(len(b))
+        return fixed(b, terms)
+
+    patch.setattr(engine, "_fixed_order", count)
+    return counts
 
 
 def conv_windows(x, k, s, p) -> np.ndarray:
@@ -499,8 +565,11 @@ def bound_cases(draw):
 
 
 class TestNormBound:
-    """The magnitude bound both kernels hand _screen must be at least the
-    correctly rounded sum of the terms' magnitudes, bias included."""
+    """Every magnitude bound both kernels hand _screen must be at least the
+    correctly rounded sum of the terms' magnitudes, bias included: the
+    stage-1 bound, one row shared by every pixel, and the stage-2 bound,
+    one row per window.  The screen is patched to settle nothing, so both
+    stages run over every pixel of these small inputs in one chunk."""
 
     @settings(max_examples=300, deadline=None)
     @given(bound_cases())
@@ -508,12 +577,14 @@ class TestNormBound:
         x, spec = case
         g = spec.geom
         with pytest.MonkeyPatch.context() as patch:
-            calls = captured_screens(patch)
+            calls = captured_screens(patch, settle=False)
             conv_forward(x, spec)
-        (_, bound, _), = calls
         rows = conv_windows(x.data.astype(np.float64), g.kernel, g.stride, g.pad)
         want = magnitude_sums(rows, spec.weights.reshape(len(spec.biases), -1), spec.biases)
-        assert np.all(bound >= want)
+        assert len(calls) == 2
+        for s, bound, _ in calls:
+            assert s.shape == want.shape
+            assert np.all(np.broadcast_to(bound, want.shape) >= want)
 
     @settings(max_examples=300, deadline=None)
     @given(bound_cases())
@@ -523,20 +594,25 @@ class TestNormBound:
         flat = np.resize(x.data.ravel(), w.shape[1])
         spec = fc_layer(w, conv.biases)
         with pytest.MonkeyPatch.context() as patch:
-            calls = captured_screens(patch)
+            calls = captured_screens(patch, settle=False)
             fc_forward(fmap(flat.reshape(-1, 1, 1)), spec)
-        (_, bound, _), = calls
-        assert np.all(bound >= magnitude_sums([flat.astype(np.float64)], w, spec.biases)[0])
+        want = magnitude_sums([flat.astype(np.float64)], w, spec.biases)
+        assert len(calls) == 2
+        for s, bound, _ in calls:
+            assert s.shape == want.shape
+            assert np.all(np.broadcast_to(bound, want.shape) >= want)
 
     def test_parallel_terms_need_the_margin(self, monkeypatch):
         # Cauchy-Schwarz is tight where |x| and |w| are parallel, and for
-        # three ones the float64 sqrt(3) * sqrt(3) is just below 3.
-        calls = captured_screens(monkeypatch)
+        # three ones the float64 sqrt(3) * sqrt(3) is just below 3.  Both
+        # stages' bounds are tight here: sqrt(n) * max|x| is the 2-norm.
+        calls = captured_screens(monkeypatch, settle=False)
         spec = conv_spec(1, 1, in_ch=3)
         spec.weights = np.ones((1, 3, 1, 1), dtype=np.float32)
         spec.biases = np.zeros(1, dtype=np.float32)
         conv_forward(fmap(np.ones((3, 2, 2))), spec)
         fc_forward(fmap(np.ones((3, 1, 1))), fc_layer(np.ones((1, 3)), [0.0]))
+        assert len(calls) == 4
         assert all(np.all(bound >= 3.0) for _, bound, _ in calls)
 
 
@@ -703,20 +779,53 @@ conv3 conv k=3 p=1 out_ch=64 in=p2 out=c3
 """
 
 
+def bench_session() -> Session:
+    graph = parse_model(BENCH_CONV_STACK)
+    load_weights(random_weights(graph, 5), graph)
+    return Session(graph, mean=(123.68, 116.78, 103.94), scale=0.017)
+
+
 def test_benchmark_convs_rarely_take_the_fixed_order_path(monkeypatch):
     # A bound loose enough to leave many entries unsettled still gives
     # the right bits, only slowly: count the entries, not the time.
-    graph = parse_model(BENCH_CONV_STACK)
-    load_weights(random_weights(graph, 5), graph)
-    session = Session(graph, mean=(123.68, 116.78, 103.94), scale=0.017)
-    screen = engine._screen
-    calls = captured_screens(monkeypatch)
+    session = bench_session()
+    fixed = fixed_order_entries(monkeypatch)
+    records = []
     for frame in synth_sequence(2, 227, 227, dx=2, dy=1, noise=0.01, seed=5, square=True):
-        session.run_frame(frame)
-    entries = sum(a.size for _, a, _ in calls)
-    unsettled = sum(int(screen(s, a, n)[1].sum()) for s, a, n in calls)
-    assert len(calls) == 6 and entries > 100_000
-    assert unsettled < 0.005 * entries
+        records += session.run_frame(frame)[1].per_layer
+    entries = sum(r.computed_macs // (r.in_channels * r.kernel ** 2) for r in records)
+    assert len(records) == 6 and entries > 100_000
+    assert sum(fixed) < 0.005 * entries
+
+
+def test_one_bright_rectangle_leaves_no_more_than_per_window_bounds(monkeypatch):
+    # On a black frame the stage-1 bound, set by the white rectangle's
+    # values, is far above most windows' norms, and leaves many entries
+    # unsettled that a per-window bound settles; stage 2 must settle them.
+    # The per-window count screens sums computed here, which may differ
+    # from the kernel's by the error of two summation orders, so its
+    # interval is twice the screen's: wider than the kernel's interval
+    # plus that distance, so it straddles wherever the kernel's does.
+    data = np.zeros((3, 227, 227), dtype=np.uint8)
+    data[:, 60:130, 90:170] = 255
+    session = bench_session()
+    fixed = fixed_order_entries(monkeypatch)
+    layers = []
+    forward = engine.conv_forward
+    monkeypatch.setattr(engine, "conv_forward",
+                        lambda x, spec: layers.append((x, spec)) or forward(x, spec))
+    session.run_frame(Frame(data))
+    per_window = 0
+    for x, spec in layers:
+        rows = conv_windows(x.data.astype(np.float64), spec.kernel, spec.stride, spec.pad)
+        w = spec.weights.reshape(len(spec.biases), -1).astype(np.float64)
+        b = spec.biases.astype(np.float64)
+        n = w.shape[1]
+        w_norms = np.sqrt((w * w).sum(axis=1)) * (1.0 + 4 * (n + 2) * 2.0 ** -53)
+        bound = np.multiply.outer(np.sqrt((rows * rows).sum(axis=1)), w_norms) + np.abs(b)
+        per_window += int(engine._screen(rows @ w.T + b, 2 * bound, n + 1)[1].sum())
+    assert len(layers) == 3
+    assert sum(fixed) <= per_window < 100
 
 
 class TestScreen:

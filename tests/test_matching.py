@@ -337,7 +337,7 @@ class TestVerifyOracle:
         # At threshold_t = psnr_from_sse(s0, count), blocks of SSE s0 + 1
         # and s0 fail and one of s0 - 1 passes, however close their PSNRs.
         count = c * bs * bs
-        s0 = data.draw(st.integers(2, (count - 8) * 65025))
+        s0 = data.draw(st.integers(1, (count - 8) * 65025))
         cur = np.zeros((c, bs + margin % bs, 3 * bs + margin), dtype=np.uint8)
         ref = cur.copy()
         for cell, sse in enumerate((s0 + 1, s0, s0 - 1)):
@@ -355,6 +355,26 @@ class TestVerifyOracle:
         out = verify_blocks(cur_f, ref_f, grid, (0, 0), MatcherConfig(block_size=bs, threshold_t=t))
         assert as_tuples(out) == verify_blocks_ref(cur, ref, as_tuples(grid), (0, 0), t)
         assert grid[0] not in out and grid[1] not in out and grid[2] in out
+
+
+    @pytest.mark.parametrize("t, identical_kept", [(100.01, False), (PSNR_MAX - 1, True)])
+    def test_block_of_one_differing_sample_never_outscores_an_identical_one(
+            self, t, identical_kept):
+        # Over a 227x227 RGB block an SSE of 1 is 100.02 dB uncapped, above
+        # the identical block's PSNR_MAX.  Capped at PSNR_MAX - 1, it
+        # verifies at neither threshold: at 100.01 the identical block
+        # fails too (PSNR_MAX is below it), at PSNR_MAX - 1 it passes.
+        ref = np.random.default_rng(0).integers(0, 255, size=(3, 227, 227), dtype=np.uint8)
+        cur = ref.copy()
+        cur[1, 113, 57] += 1
+        grid = partition_grid(227, 227, 227)
+        cfg = MatcherConfig(block_size=227, threshold_t=t)
+        kept = verify_blocks(Frame(ref), Frame(ref), grid, (0, 0), cfg)
+        assert kept == (grid if identical_kept else [])
+        assert verify_blocks(Frame(cur), Frame(ref), grid, (0, 0), cfg) == []
+        assert as_tuples(kept) == verify_blocks_ref(ref, ref, as_tuples(grid), (0, 0), t)
+        assert verify_blocks_ref(cur, ref, as_tuples(grid), (0, 0), t) == []
+        assert psnr_from_sse(1, ref.size) < PSNR_MAX
 
 
 class TestMergeBlocks:
