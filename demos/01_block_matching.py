@@ -1,8 +1,8 @@
 """Walkthrough of the five-step block matcher.
 
 Generates two frames of a drifting texture, then runs each stage by hand:
-grid partition, per-block search, motion averaging, verification, and the
-merge into maximal reusable rectangles.  Run directly:
+grid partition, per-block search, a vote for the global motion,
+verification, and the merge into maximal reusable rectangles.  Run directly:
 
     python3 demos/01_block_matching.py
 """
@@ -35,7 +35,7 @@ def main():
               f"{m.psnr:.1f} dB")
     print(f"  ... {len(matches)} blocks searched in total\n")
 
-    print("Step 3: average the offsets of well-matched blocks")
+    print("Step 3: take the offset most well-matched blocks share")
     motion = estimate_global_motion(matches, cfg.threshold_t)
     print(f"  global motion estimate: {motion}\n")
 

@@ -2,13 +2,15 @@
 
 The pipeline finds reusable regions in five steps: partition the current
 frame into a grid of equal blocks, find per-block motion with a pluggable
-block search (diamond search by default), average the motion of well-matched
-blocks into one global offset, re-verify every block at that uniform offset,
-and merge adjacent verified blocks into maximal rectangles.  Steps 1, 4 and
-5 run on arrays over the block grid; Rects are built only for the merged
-mappings.  Step 4 scores every block at the one motion from a single
-difference of the two frames over the blocks' bounding box, summed per
-block, where the search gathers each block's candidate windows.
+block search (diamond search by default), take the offset most of the
+well-matched blocks share as the global motion (a vote: the dominant motion
+that the cut gate and PRIOR_MIN assume, where a mean of split votes lands
+on a motion few blocks share), re-verify every block at that uniform
+offset, and merge adjacent verified blocks into maximal rectangles.  Steps
+1, 4 and 5 run on arrays over the block grid.  Step 4 scores every block in
+view at the motion from one difference of the two frames over their
+rectangle, summed per block.  Steps 3 and 4 test "PSNR > threshold_t" by
+one rule, _passes.
 
 Block similarity is PSNR over all channels jointly (MSE pooled across
 channels, peak value 255).  Identical blocks score the finite sentinel
@@ -18,9 +20,7 @@ never outscores one with a smaller SSE, and threshold_t = PSNR_MAX - 1
 verifies only identical blocks.
 
 Two accelerations are built in: Step 2 can search only every k-th grid row
-and column (``skip_k``), and every SSE the search computes lands in one
-table per search, indexed by block and offset, so Step 4 re-verification
-reads the ones at the global motion and scores only the other blocks.  Both
+and column (``skip_k``), and it scores no (block, offset) pair twice.  Both
 search strategies score, range-check, count and rank their candidates
 through one method, ``_BlockBatch.best``; a strategy only chooses which
 offsets to try.
@@ -133,12 +133,12 @@ class MatchStats:
     # Step-2 block searches: 0 for a kept prediction and for a pair the cut
     # gate rejects (which covers nothing).
     searches: int = 0
-    # SSEs the call scored, all steps: the search's (block, offset) pairs,
-    # and Step 4's blocks in view whose pair at the motion is not in the
-    # search's table.  Step 4's frame difference covers the table's blocks
-    # too, but they are not counted again.  After a rejected prediction the
-    # search and Step 4 may score pairs the prediction's verification
-    # already scored.
+    # SSEs the call scored, all steps: the search's distinct (block,
+    # offset) pairs, and every block in view at the motion each Step 4
+    # verifies, searched or not.  A pair the search scored is scored, and
+    # counted, again in Step 4, and after a rejected prediction the search
+    # and Step 4 may score pairs the prediction's verification already
+    # scored.
     psnr_evals: int = 0
 
 
@@ -179,6 +179,26 @@ def psnr_from_sse(sse: float, count: int) -> float:
     if sse == 0:
         return PSNR_MAX
     return min(10.0 * math.log10(65025.0 * count / sse), PSNR_MAX - 1)
+
+
+def _passes(sse: np.ndarray, count: int, t: float) -> np.ndarray:
+    """psnr_from_sse(v, count) > t for every SSE v of the array sse.
+
+    That is v < lim for v > 0, and no v > 0 passes from PSNR_MAX - 1 up,
+    where lim is 0; an SSE of 0, or one so near lim that rounding could
+    decide, is scored exactly by psnr_from_sse.
+    """
+    lim = 65025.0 * count * 10.0 ** (-t / 10) if t < PSNR_MAX - 1 else 0.0
+    ok = sse < lim
+    for i in np.flatnonzero((sse == 0) | (abs(sse - lim) <= 1e-9 * lim)).tolist():
+        ok.flat[i] = psnr_from_sse(float(sse.flat[i]), count) > t
+    return ok
+
+
+def _rank(dx: np.ndarray, dy: np.ndarray) -> tuple:
+    """np.lexsort keys, least significant first, that order offsets by
+    (|dx|+|dy|, dy, dx): the tie order of the search and of the vote."""
+    return dx, dy, np.abs(dx) + np.abs(dy)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -322,7 +342,8 @@ class _BlockBatch:
     lockstep.
 
     Every SSE scored for block i at offset (dx, dy) is kept in
-    ``sse[i, dy + r, dx + r]``, NaN until scored.  The radius r is the
+    ``sse[i, dy + r, dx + r]``, NaN until scored, so the search scores no
+    pair twice.  The radius r is the
     search range capped by the largest offset the frame admits, so the
     table never outgrows the frame.  Each block follows its own search
     trajectory; a search step scores the pattern around every block's
@@ -375,7 +396,7 @@ class _BlockBatch:
         self.stats.psnr_evals += len(mb)
         sse = np.full(dx.shape, np.inf)
         sse[rows, cols] = vals
-        order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), sse))
+        order = np.lexsort((*_rank(dx, dy), sse))
         return cand[np.arange(len(idx)), order[:, 0]]
 
     def search(self) -> tuple[np.ndarray, np.ndarray]:
@@ -431,74 +452,55 @@ def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> Blo
     return BlockMatch(block, (dx, dy), psnr_from_sse(float(sse[0]), batch.count))
 
 
-def _mean_motion(offsets: list[tuple[int, int]]) -> tuple[int, int]:
-    """Step 3: mean of the selected offsets, rounded half away from zero
-    per axis; (0, 0) when none is selected."""
-    if not offsets:
+def _vote(offsets: np.ndarray) -> tuple[int, int]:
+    """Step 3: the most common row (dx, dy) of offsets [n, 2], ties by
+    (|dx|+|dy|, dy, dx); (0, 0) when n is 0."""
+    if not len(offsets):
         return (0, 0)
-    k = len(offsets)
-    return (_round_half_away(sum(o[0] for o in offsets), k),
-            _round_half_away(sum(o[1] for o in offsets), k))
+    found, votes = np.unique(offsets, axis=0, return_counts=True)
+    dx, dy = found[:, 0], found[:, 1]
+    return tuple(found[np.lexsort((*_rank(dx, dy), -votes))[0]].tolist())
 
 
 def estimate_global_motion(matches: list[BlockMatch], threshold_t: float) -> tuple[int, int]:
-    """Mean offset of matches scoring above the threshold, rounded to integers.
+    """The offset most matches scoring above the threshold share.
 
-    Rounding is half-away-from-zero per axis.  With no match above the
-    threshold the motion falls back to (0, 0).
+    Ties prefer small |dx|+|dy|, then dy, then dx, as the block search's
+    do.  With no match above the threshold the motion falls back to (0, 0).
     """
-    return _mean_motion([m.offset for m in matches if m.psnr > threshold_t])
+    return _vote(np.array([m.offset for m in matches if m.psnr > threshold_t],
+                          dtype=np.int64).reshape(-1, 2))
 
 
-def _round_half_away(numer: int, denom: int) -> int:
-    if numer >= 0:
-        return (2 * numer + denom) // (2 * denom)
-    return -((-2 * numer + denom) // (2 * denom))
+def _verify(cur16, ref16, rows: int, cols: int, h: int, w: int, motion, t: float,
+            stats) -> np.ndarray:
+    """Step 4 on the rows x cols grid of h x w blocks anchored at (0, 0):
+    the [rows, cols] mask of the blocks whose counterpart at the uniform
+    motion lies inside ref and scores above t.
 
-
-def _verify(cur16, ref16, row, col, h: int, w: int, motion, cfg, sse, stats) -> np.ndarray:
-    """Step 4 for the cells (row[i], col[i]) of the grid of h x w blocks
-    anchored at (0, 0): the mask of those whose counterpart at the uniform
-    motion lies inside ref and scores above the threshold.
-
-    sse[i] is cell i's SSE at motion, NaN where not yet scored.  The rest
-    are scored from one difference of the frames over their bounding box:
-    squared, summed over channels, then over each cell by two reshape sums,
-    in int32 where a cell's SSE fits and in int64 otherwise, so every sum
-    is exact.  They are written back.  The in-view cells form a rectangle
-    of the grid, so the box at the motion lies inside ref.
+    The blocks in view form a rectangle of the grid, so the rectangle at
+    the motion lies inside ref.  They are scored from one difference of
+    the frames over it: squared, summed over channels, then over each
+    block by two reshape sums, in int32 where a block's SSE fits and in
+    int64 otherwise, so every sum is exact.
     """
     mx, my = motion
     c, ref_h, ref_w = ref16.shape
-    by, bx = row * h, col * w
-    inside = ((bx + mx >= 0) & (by + my >= 0)
-              & (bx + mx + w <= ref_w) & (by + my + h <= ref_h))
-    todo = np.flatnonzero(inside & np.isnan(sse))
-    if todo.size:
-        r, k = row[todo], col[todo]
-        r0, c0 = r.min(), k.min()
-        nr, nc = r.max() + 1 - r0, k.max() + 1 - c0
-        y0, x0 = r0 * h, c0 * w
-        d = np.subtract(ref16[:, y0 + my:y0 + my + nr * h, x0 + mx:x0 + mx + nc * w],
-                        cur16[:, y0:y0 + nr * h, x0:x0 + nc * w], dtype=np.int32)
-        d *= d
-        acc = np.int32 if h * w * c * 65025 < 2**31 else np.int64
-        cells = d.sum(axis=0, dtype=acc).reshape(nr, h, nc * w).sum(axis=1, dtype=acc)
-        cells = cells.reshape(nr, nc, w).sum(axis=2, dtype=acc)
-        sse[todo] = cells[r - r0, k - c0]
-    stats.psnr_evals += todo.size
-    # psnr_from_sse(v, count) > threshold_t is v < lim for v > 0, and no
-    # v > 0 passes from PSNR_MAX - 1 up, where lim is 0; an SSE of 0, or
-    # one so near lim that rounding could decide, is scored exactly.
-    count = c * h * w
-    t = cfg.threshold_t
-    lim = 65025.0 * count * 10.0 ** (-t / 10) if t < PSNR_MAX - 1 else 0.0
-    v = sse[inside]
-    passed = v < lim
-    for i in np.flatnonzero((v == 0) | (abs(v - lim) <= 1e-9 * lim)).tolist():
-        passed[i] = psnr_from_sse(float(v[i]), count) > t
-    ok = inside.copy()
-    ok[inside] = passed
+    r0, r1 = max(0, -(my // h)), min(rows, (ref_h - my) // h)
+    c0, c1 = max(0, -(mx // w)), min(cols, (ref_w - mx) // w)
+    ok = np.zeros((rows, cols), dtype=bool)
+    if r0 >= r1 or c0 >= c1:
+        return ok
+    nr, nc = r1 - r0, c1 - c0
+    y0, x0 = r0 * h, c0 * w
+    d = np.subtract(ref16[:, y0 + my:y0 + my + nr * h, x0 + mx:x0 + mx + nc * w],
+                    cur16[:, y0:y0 + nr * h, x0:x0 + nc * w], dtype=np.int32)
+    d *= d
+    acc = np.int32 if h * w * c * 65025 < 2**31 else np.int64
+    cells = d.sum(axis=0, dtype=acc).reshape(nr, h, nc * w).sum(axis=1, dtype=acc)
+    cells = cells.reshape(nr, nc, w).sum(axis=2, dtype=acc)
+    stats.psnr_evals += cells.size
+    ok[r0:r1, c0:c1] = _passes(cells, c * h * w, t)
     return ok
 
 
@@ -522,10 +524,9 @@ def verify_blocks(cur: Frame, ref: Frame, grid: list[Rect], motion: tuple[int, i
                 or block.x % w or block.y % h):
             raise ValueError(f"block {block} is empty, outside the frame, or not a "
                              f"cell of the {w}x{h} grid")
-    ok = _verify(cur.data.astype(np.int16), ref.data.astype(np.int16),
-                 np.array([b.y // h for b in grid]), np.array([b.x // w for b in grid]), h, w,
-                 motion, cfg, np.full(len(grid), np.nan), MatchStats())
-    return [block for block, keep in zip(grid, ok.tolist()) if keep]
+    ok = _verify(cur.data.astype(np.int16), ref.data.astype(np.int16), cur.height // h,
+                 cur.width // w, h, w, motion, cfg.threshold_t, MatchStats())
+    return [block for block in grid if ok[block.y // h, block.x // w]]
 
 
 def _merge(verified: np.ndarray, w: int, h: int, motion) -> list[RegionMapping]:
@@ -602,14 +603,13 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
 
     bs, k = cfg.block_size, cfg.skip_k
     rows, cols = _grid_shape(cur.width, cur.height, bs)
-    row, col = np.indices((rows, cols)).reshape(2, -1)
     stats = MatchStats()
 
-    def finish(motion, sse) -> MatchResult:
-        verified = _verify(cur16, ref16, row, col, bs, bs, motion, cfg, sse, stats)
+    def finish(motion) -> MatchResult:
+        verified = _verify(cur16, ref16, rows, cols, bs, bs, motion, cfg.threshold_t, stats)
         matched = int(verified.sum())
         return MatchResult(
-            mappings=_merge(verified.reshape(rows, cols), bs, bs, motion),
+            mappings=_merge(verified, bs, bs, motion),
             global_motion=motion,
             match_ratio=matched * bs * bs / (cur.width * cur.height),
             matched_block_count=matched,
@@ -617,20 +617,15 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
         )
 
     if prior is not None and prior.match_ratio >= PRIOR_MIN:
-        predicted = finish(prior.global_motion, np.full(rows * cols, np.nan))
+        predicted = finish(prior.global_motion)
         if predicted.match_ratio >= PRIOR_KEEP * prior.match_ratio:
             return predicted
 
     if _is_cut(cur16, ref16, rows, cols, cfg):
         return MatchResult([], (0, 0), 0.0, 0, stats)
 
-    searched = np.flatnonzero((row % k == 0) & (col % k == 0))
-    batch = _BlockBatch(cur16, ref16, col[searched] * bs, row[searched] * bs, bs, bs, cfg, stats)
+    row, col = np.indices((rows, cols))[:, ::k, ::k].reshape(2, -1)
+    batch = _BlockBatch(cur16, ref16, col * bs, row * bs, bs, bs, cfg, stats)
     offsets, best = batch.search()
     stats.searches += batch.n
-
-    motion = _mean_motion([o for o, v in zip(offsets.tolist(), best.tolist())
-                           if psnr_from_sse(v, batch.count) > cfg.threshold_t])
-    sse = np.full(rows * cols, np.nan)
-    sse[searched] = batch.sse[:, motion[1] + batch.r, motion[0] + batch.r]
-    return finish(motion, sse)
+    return finish(_vote(offsets[_passes(best, batch.count, cfg.threshold_t)]))

@@ -196,6 +196,26 @@ def diamond_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_rang
     return dx, dy, scored[(dx, dy)], set(scored)
 
 
+def global_motion_ref(cur, ref, block_size, skip_k, search_range, threshold_t):
+    """Step 3 block by block: diamond-search the grid blocks of every
+    skip_k-th grid row and column, keep the offsets whose block scores a
+    PSNR above threshold_t, and return the most common, ties by
+    (|dx|+|dy|, dy, dx); (0, 0) when none is kept.  cur/ref are (C, H, W)
+    uint8 arrays."""
+    _, h, w = cur.shape
+    bs = block_size
+    votes = {}
+    for y in range(0, h // bs * bs, skip_k * bs):
+        for x in range(0, w // bs * bs, skip_k * bs):
+            dx, dy, _, _ = diamond_search_ref(cur, ref, x, y, bs, bs, search_range)
+            if psnr_ref(cur[:, y:y + bs, x:x + bs],
+                        ref[:, y + dy:y + dy + bs, x + dx:x + dx + bs]) > threshold_t:
+                votes[(dx, dy)] = votes.get((dx, dy), 0) + 1
+    if not votes:
+        return (0, 0)
+    return min(votes, key=lambda o: (-votes[o], abs(o[0]) + abs(o[1]), o[1], o[0]))
+
+
 def window_columns(rect_x, rect_w, k, stride, pad, limit=512):
     """Output columns whose window lies fully inside [rect_x, rect_x+rect_w),
     by brute force.  One axis of the receptive-field rule."""

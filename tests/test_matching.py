@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,8 +16,8 @@ from framecache.synth import synth_sequence
 from framecache import matching
 from framecache.matching import (PRIOR_KEEP, PRIOR_MIN, _BlockBatch, _window_sse,
                                  psnr_from_sse)
-from reference import (diamond_search_ref, exhaustive_search_ref, merge_blocks_ref, psnr_ref,
-                       verify_blocks_ref)
+from reference import (diamond_search_ref, exhaustive_search_ref, global_motion_ref,
+                       merge_blocks_ref, psnr_ref, verify_blocks_ref)
 
 
 def noise_frame(seed, channels=1, h=24, w=24):
@@ -190,30 +190,32 @@ class TestBlockSearch:
             block_search(f, f, Rect(20, 20, 8, 8), MatcherConfig(block_size=8))
 
 
+def block_matches(*offsets, psnr=30.0):
+    return [BlockMatch(Rect(0, 0, 10, 10), o, psnr) for o in offsets]
+
+
 class TestGlobalMotion:
-    def test_mean_of_two(self):
-        matches = [BlockMatch(Rect(0, 0, 10, 10), (2, 2), 30.0),
-                   BlockMatch(Rect(10, 0, 10, 10), (4, 2), 30.0)]
-        assert estimate_global_motion(matches, 20.0) == (3, 2)
-
-    def test_below_threshold_filtered(self):
-        matches = [BlockMatch(Rect(0, 0, 10, 10), (2, 2), 30.0),
-                   BlockMatch(Rect(10, 0, 10, 10), (100, 100), 5.0)]
+    def test_majority_beats_the_mean(self):
+        # the mean (4, 2) is an offset no block found
+        matches = block_matches((2, 2), (2, 2), (8, 2))
         assert estimate_global_motion(matches, 20.0) == (2, 2)
-
-    def test_round_half_away_positive(self):
-        matches = [BlockMatch(Rect(0, 0, 10, 10), (d, 0), 30.0) for d in (1, 2, 2)]
-        assert estimate_global_motion(matches, 20.0) == (2, 0)  # 5/3 -> 2
-
-    def test_round_half_away_negative(self):
-        matches = [BlockMatch(Rect(0, 0, 10, 10), (d, 0), 30.0) for d in (-1, -2, -2)]
+        # and the mean (-1, 0) of split votes loses to their majority
+        matches = block_matches((-2, 0), (-2, 0), (-2, 0), (1, 0), (1, 0))
         assert estimate_global_motion(matches, 20.0) == (-2, 0)
 
-    def test_exact_half_rounds_away(self):
-        matches = [BlockMatch(Rect(0, 0, 10, 10), (d, d), 30.0) for d in (1, 2)]
-        assert estimate_global_motion(matches, 20.0) == (2, 2)  # 1.5 -> 2
-        matches = [BlockMatch(Rect(0, 0, 10, 10), (d, d), 30.0) for d in (-1, -2)]
-        assert estimate_global_motion(matches, 20.0) == (-2, -2)
+    def test_ties_by_distance_then_dy_then_dx(self):
+        assert estimate_global_motion(block_matches((2, 2), (1, 1)), 20.0) == (1, 1)
+        assert estimate_global_motion(block_matches((1, 0), (0, 1), (-1, 0), (0, -1)),
+                                      20.0) == (0, -1)
+        assert estimate_global_motion(block_matches((1, 0), (-1, 0)), 20.0) == (-1, 0)
+        # only the offsets with the most votes tie
+        assert estimate_global_motion(block_matches((0, 0), (3, 3), (3, 3)), 20.0) == (3, 3)
+
+    def test_below_threshold_filtered(self):
+        # two votes at or below the threshold lose to one above it
+        matches = (block_matches((2, 2)) + block_matches((100, 100), (100, 100), psnr=5.0)
+                   + block_matches((7, 7), (7, 7), psnr=20.0))
+        assert estimate_global_motion(matches, 20.0) == (2, 2)
 
     def test_no_match_above_threshold(self):
         assert estimate_global_motion([], 20.0) == (0, 0)
@@ -509,8 +511,8 @@ class TestMatchFrames:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_psnr_evals_score_each_offset_once(self, k):
-        # Step 2 scores what the serial diamond search scores; Step 4 scores
-        # only the in-frame blocks whose own search missed the global motion
+        # Step 2 scores what the serial diamond search scores, each offset
+        # once; Step 4 scores every block in view at the global motion once
         pairs = [texture_pair(3, -2, seed=5, w=64, h=48, noise=0.05),
                  (noise_frame(3, channels=3, h=48, w=64),
                   noise_frame(4, channels=3, h=48, w=64))]
@@ -521,14 +523,11 @@ class TestMatchFrames:
             cols = cur.width // cfg.block_size
             expect = 0
             for i, b in enumerate(partition_grid(cur.width, cur.height, cfg.block_size)):
-                scored = set()
                 if (i // cols) % k == 0 and (i % cols) % k == 0:
                     *_, scored = diamond_search_ref(cur.data, ref.data, b.x, b.y,
                                                     b.w, b.h, cfg.search_range)
                     expect += len(scored)
-                if (Rect(0, 0, cur.width, cur.height).contains(b.translate(mx, my))
-                        and (mx, my) not in scored):
-                    expect += 1
+                expect += Rect(0, 0, cur.width, cur.height).contains(b.translate(mx, my))
             assert res.stats.psnr_evals == expect
 
     @pytest.mark.parametrize("strategy", ["diamond", "exhaustive"])
@@ -540,6 +539,22 @@ class TestMatchFrames:
         wide = match_frames(cur, ref, MatcherConfig(block_size=8, strategy=strategy,
                                                     search_range=40))
         assert huge == wide
+
+    def test_square_pan_takes_the_most_voted_motion(self):
+        # The square and the wrap seam split the votes of a (16, 16) pan:
+        # their mean, (-10, -7), verifies almost nothing.
+        ref, cur = synth_sequence(2, 227, 227, dx=16, dy=16, seed=0, square=True)
+        res = match_frames(cur, ref)
+        assert res.global_motion == (-16, -16) and res.match_ratio > 0.7
+
+    @pytest.mark.parametrize("pair", [1, 2, 3, 4, 5, 7])
+    def test_grating_pan_finds_the_true_motion(self, pair):
+        # Blocks of this texture split between (-2, -1) and offsets along a
+        # grating; the mean of pair 1 lands on (-2, 0).  Pair 6 is left out:
+        # there (-3, 0) wins the vote, and it verifies more of the frame
+        # (0.879) than the true motion does (0.838).
+        clip = synth_sequence(8, 227, 227, dx=2, dy=1, noise=0.01, seed=932251194, square=True)
+        assert match_frames(clip[pair], clip[pair - 1]).global_motion == (-2, -1)
 
     def test_verified_blocks_individually_pass_threshold(self):
         # generating condition: every constituent grid block of every mapping
@@ -651,6 +666,24 @@ class TestPrior:
         res = match_frames(cur, ref, prior=stale)
         assert res.stats.searches > 0
         assert res.mappings == match_frames(cur, ref).mappings
+
+
+class TestVoteOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(("pan", "clean", "cut", "noise")),
+           bs=st.sampled_from((6, 8)), k=st.integers(1, 3),
+           search_range=st.sampled_from((0, 3, 8)),
+           threshold=st.sampled_from((5.0, 12.0, 20.0, 30.0)), seed=st.integers(0, 30))
+    def test_vote_equals_the_oracle(self, kind, bs, k, search_range, threshold, seed):
+        # Wherever the cut gate lets the search run, Step 3 takes the
+        # motion a block-by-block diamond search and vote take.
+        ref, cur = scene_pair(kind, seed)
+        cfg = MatcherConfig(block_size=bs, skip_k=k, search_range=search_range,
+                            threshold_t=threshold)
+        res = match_frames(cur, ref, cfg)
+        assume(res.stats.searches > 0)
+        assert res.global_motion == global_motion_ref(cur.data, ref.data, bs, k,
+                                                      search_range, threshold)
 
 
 class TestCutGate:
