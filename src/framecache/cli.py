@@ -184,6 +184,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _write_csv(out: str | None, lines: list[list]):
+    """CSV lines to the file out, or to stdout when out is not given."""
+    if out:
+        with Path(out).open("w", newline="") as fh:
+            csv.writer(fh).writerows(lines)
+        print(f"wrote {out}")
+    else:
+        csv.writer(sys.stdout).writerows(lines)
+
+
 def cmd_sweep(args) -> int:
     graph = _load_graph(args)
     frames = _load_frames(args.frames)
@@ -206,13 +216,7 @@ def cmd_sweep(args) -> int:
                      f"{s['mean_computed_macs_fraction']:.6f}",
                      f"{s['mean_mse']:.6g}", f"{s['mean_wall_time_ms']:.3f}"])
 
-    lines = [SWEEP_CSV_HEADER] + rows
-    if args.out:
-        with Path(args.out).open("w", newline="") as fh:
-            csv.writer(fh).writerows(lines)
-        print(f"wrote {args.out}")
-    else:
-        csv.writer(sys.stdout).writerows(lines)
+    _write_csv(args.out, [SWEEP_CSV_HEADER] + rows)
     return 0
 
 
@@ -240,13 +244,7 @@ def cmd_bench_matcher(args) -> int:
                      f"{statistics.pstdev(times):.3f}",
                      f"{statistics.fmean(ratios):.6f}"])
 
-    lines = [BENCH_CSV_HEADER] + rows
-    if args.out:
-        with Path(args.out).open("w", newline="") as fh:
-            csv.writer(fh).writerows(lines)
-        print(f"wrote {args.out}")
-    else:
-        csv.writer(sys.stdout).writerows(lines)
+    _write_csv(args.out, [BENCH_CSV_HEADER] + rows)
     return 0
 
 

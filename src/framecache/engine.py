@@ -49,12 +49,10 @@ heavy cancellation, non-finite terms) are permuted back to the fixed
 order and summed in it.
 What the kernel needs of a layer's weights alone (the float64 weights
 and biases, the column permutation, the weight rows' norm bounds and |b|)
-is prepared once per weights/biases pair and kept on the LayerSpec
-(_prepare_weights); a Session prepares every conv and fc layer when it is
-built, and a kernel called directly prepares on first use.  From then on
-the float32 arrays are read-only: new weights are assigned, never written
-in place.  An array whose memory another reference could still write (a
-view of a bytearray blob) is replaced on the spec by a read-only copy.
+is prepared once per Session, on the Session's own copies of the conv and
+fc specs (_prepare_weights); a kernel called directly on a spec with none
+prepares from its current arrays on every call.  The engine never writes
+to a caller's spec or arrays.
 Max pooling compares in float32: the max of float32 values is one of
 them, whose bits it stores, a NaN quieted as a float64 cast quiets it.
 Softmax's normalizer, the one sum with no fixed order, is correctly
@@ -65,6 +63,7 @@ scalar math.exp so its tiny head stays identical to a scalar reference.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -86,14 +85,9 @@ class LayerSpec:
     op's float keys are finite, and lrn's bias > 0, alpha >= 0 and
     bias**beta in float64's normal range or above.
     weights/biases stay None until a weight blob is loaded (conv and fc
-    only), and must then be float32.  prepared holds what _conv_at reads
-    of them: the float64 weights and biases, the column permutation back
-    to the fixed order, the weight rows' norm bounds and |b| (see
-    PreparedWeights).  It is built once per weights/biases pair, when a
-    Session is built or a kernel first runs, and from then on both arrays
-    are read-only, so an in-place write raises; assign new arrays to
-    change a layer's weights.  An array that views memory another
-    reference can write is first replaced by a read-only copy.
+    only), and must then be float32.  prepared is None except on a
+    Session's own copy of a conv or fc spec, where it holds what _conv_at
+    reads of the weights (see PreparedWeights).
     """
 
     name: str
@@ -191,8 +185,10 @@ class ModelGraph:
 class CacheStore:
     """Retained state between frames: previous input frame (the match
     reference), per-conv-layer output maps, the expiration counter, and the
-    anchor: the last searched MatchResult of the current flush window, which
-    predicts the next frame's motion."""
+    anchor: the last searched MatchResult since the last cut, which
+    predicts the next frame's motion.  A flush bounds how stale cached
+    outputs get, not the motion: the matcher verifies any prediction
+    against the previous frame, so the anchor survives a flush."""
 
     expire_n: int = 10
     prev_frame: Frame | None = None
@@ -207,13 +203,16 @@ class CacheStore:
                match: MatchResult | None):
         """Install a finished frame's state in one step, so a frame that
         fails midway leaves the previous frame's state whole.  match is
-        the frame's MatchResult, None on a flush.  A flush, or a match
-        that covers nothing (as the matcher's cut gate returns), clears the
-        anchor; a searched match replaces it; a kept prediction leaves it."""
+        the frame's MatchResult, None on a flush.  A match that covers
+        nothing (as the matcher's cut gate returns) clears the anchor; a
+        searched match replaces it; a flush or a kept prediction leaves
+        it."""
         self.prev_frame = frame
         self.conv_outputs = conv_outputs
         self.frames_since_flush = 1 if flushed else self.frames_since_flush + 1
-        if flushed or not match.match_ratio:
+        if flushed:
+            return
+        if not match.match_ratio:
             self.anchor = None
         elif match.stats.searches:
             self.anchor = match
@@ -377,18 +376,16 @@ def _weight_norms(w64: np.ndarray) -> np.ndarray:
 class PreparedWeights(NamedTuple):
     """A conv or fc layer's weights in the form _conv_at reads them.
 
-    weights and biases are the float32 arrays it was built from; w64 holds
-    the weights in float64 as an (out_ch, n) matrix whose columns run in
-    (kernel row, kernel col, input channel) order, the order of _conv_at's
-    channels-last im2col rows; order is the permutation of those columns
-    that restores the fixed summation order (input channel, kernel row,
-    kernel col).  b64 holds the biases in float64, w_norms the
-    _weight_norms of w64 and b_abs |b64|.  An fc layer is a 1x1 kernel, so
-    both orders are its flattened input order and order is the identity.
+    w64 holds the weights in float64 as an (out_ch, n) matrix whose
+    columns run in (kernel row, kernel col, input channel) order, the
+    order of _conv_at's channels-last im2col rows; order is the
+    permutation of those columns that restores the fixed summation order
+    (input channel, kernel row, kernel col).  b64 holds the biases in
+    float64, w_norms the _weight_norms of w64 and b_abs |b64|.  An fc
+    layer is a 1x1 kernel, so both orders are its flattened input order
+    and order is the identity.
     """
 
-    weights: np.ndarray
-    biases: np.ndarray
     w64: np.ndarray
     order: np.ndarray
     b64: np.ndarray
@@ -396,52 +393,16 @@ class PreparedWeights(NamedTuple):
     b_abs: np.ndarray
 
 
-def _read_only(a) -> bool:
-    """True if no reference can write a's memory: a and every array it
-    views are read-only, down to an owning array or a read-only buffer."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    try:
-        return a is None or memoryview(a).readonly
-    except TypeError:
-        return False
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a marked read-only, or a read-only copy if another reference could
-    still write its memory (a view of a bytearray, say)."""
-    a.flags.writeable = False
-    if not _read_only(a):
-        a = a.copy()
-        a.flags.writeable = False
-    return a
-
-
 def _prepare_weights(spec: LayerSpec) -> PreparedWeights:
-    """spec.prepared, built now unless it was built from spec's current
-    weights and biases and nothing can write their memory (_read_only).
-
-    Building it makes both arrays read-only (_frozen, which may put a
-    copy on the spec), so a later in-place write raises instead of leaving
-    the prepared form stale; a new array, or a writeable copy (as
-    copy.deepcopy makes), is prepared again.
-    """
-    w, b, prep = spec.weights, spec.biases, spec.prepared
-    if (prep is None or prep.weights is not w or prep.biases is not b
-            or not _read_only(w) or not _read_only(b)):
-        w = spec.weights = _frozen(w)
-        b = spec.biases = _frozen(b)
-        # fc weights are (out, n): a 1x1 kernel over n channels.
-        out_ch, c, kh, kw = w.shape if w.ndim == 4 else (*w.shape, 1, 1)
-        w64 = np.ascontiguousarray(w.reshape(out_ch, c, kh, kw).transpose(0, 2, 3, 1),
-                                   dtype=np.float64).reshape(out_ch, -1)
-        order = np.arange(w64.shape[1]).reshape(kh, kw, c).transpose(2, 0, 1).ravel()
-        b64 = b.astype(np.float64)
-        prep = spec.prepared = PreparedWeights(w, b, w64, order, b64, _weight_norms(w64),
-                                               np.abs(b64))
-    return prep
+    """spec's current weights and biases in the form _conv_at reads them."""
+    w, b = spec.weights, spec.biases
+    # fc weights are (out, n): a 1x1 kernel over n channels.
+    out_ch, c, kh, kw = w.shape if w.ndim == 4 else (*w.shape, 1, 1)
+    w64 = np.ascontiguousarray(w.reshape(out_ch, c, kh, kw).transpose(0, 2, 3, 1),
+                               dtype=np.float64).reshape(out_ch, -1)
+    order = np.arange(w64.shape[1]).reshape(kh, kw, c).transpose(2, 0, 1).ravel()
+    b64 = b.astype(np.float64)
+    return PreparedWeights(w64, order, b64, _weight_norms(w64), np.abs(b64))
 
 
 def _fixed_order(b: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -456,9 +417,8 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
     float32 (out_ch, n) array.  Zero padding, square kernel, per-channel
     bias.  fc_forward runs it on one pixel with (out, n) weights.  It reads
     the layer's weights, their norm bounds and |b| in float64 from
-    spec.prepared, preparing them first if they are not prepared for the
-    current arrays (which leaves those arrays read-only, see
-    _prepare_weights).
+    spec.prepared, or prepares them now from the current arrays if the
+    spec has none.
 
     Each output stores the float32 of its fixed-order float64 sum: bias
     first, then the weight*input terms in (input channel, kernel row,
@@ -484,7 +444,7 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
     pixels are computed with it nor on the chunking.
     """
     k, s, p = spec.kernel, spec.stride, spec.pad
-    prep = _prepare_weights(spec)
+    prep = spec.prepared or _prepare_weights(spec)
     w64, b64 = prep.w64, prep.b64
     out_ch, n_cols = w64.shape
     c, h, w = input.data.shape
@@ -796,17 +756,21 @@ class Session:
     conv and fc layer must hold float32 weights and biases of the shapes
     ModelGraph.param_shapes gives, mean must give one value or one per
     input channel, and mean and scale must be finite; all of it is checked
-    here, before any frame.
+    here, before any frame.  A Session computes with the weights its graph
+    held when the Session was built: it keeps its own shallow copies of
+    the graph's layers and prepares the conv and fc copies then, leaving
+    the caller's specs and arrays as they were.
 
     A cache-assisted frame is matched with the cache's anchor (the last
-    searched match since the flush) as prior: it is verified at the
-    anchor's motion first and searched only when its coverage falls below
-    matching.PRIOR_KEEP of the anchor's.  An anchor that covered less than
-    matching.PRIOR_MIN predicts nothing.  A scene cut leaves no anchor: the
-    matcher's cut gate returns an empty match there, unsearched, and a
-    match that covers nothing clears the anchor as a flush does.  So the
+    searched match, kept across expiry flushes) as prior: it is verified
+    at the anchor's motion first and searched only when its coverage falls
+    below matching.PRIOR_KEEP of the anchor's.  An anchor that covered less
+    than matching.PRIOR_MIN predicts nothing.  A scene cut leaves no
+    anchor: the matcher's cut gate returns an empty match there,
+    unsearched, and a match that covers nothing clears the anchor.  So the
     next frame searches, and a shot that continues after a cut is reused
-    from its second frame on, as without prediction.
+    from its second frame on, as without prediction.  A conv with no
+    mappings to copy runs conv_forward, as on a flush.
 
     last_match is None after a flush, and after a cache-assisted frame it
     is the MatchResult that frame's reuse came from (its match_ratio is
@@ -828,7 +792,10 @@ class Session:
                              f"cache_enabled=False")
         for spec, *shapes in graph.param_shapes():
             _require_weights(spec, shapes)
-            _prepare_weights(spec)
+        self._layers = [copy.copy(spec) for spec in graph.layers]
+        for spec in self._layers:
+            if OPS[spec.op].params:
+                spec.prepared = _prepare_weights(spec)
         self.cache = CacheStore(expire_n=expire_n)
         self.cache_enabled = cache_enabled
         self.mean, self.scale = _preprocess_args(mean, scale, graph.input_dims[0])
@@ -850,7 +817,7 @@ class Session:
         blob_maps: dict[str, list[RegionMapping]] = {ModelGraph.INPUT_BLOB: in_maps}
         per_layer = []
         conv_outputs = {}
-        for spec in self.graph.layers:
+        for spec in self._layers:
             inputs = [blobs[b] for b in spec.in_blobs]
             if spec.op == "concat":
                 out_maps = concat_mappings([blob_maps[b] for b in spec.in_blobs])
@@ -860,7 +827,7 @@ class Session:
                 out = OPS[spec.op].forward(spec, inputs)
             else:
                 total = self._totals[spec.name]
-                if flush:
+                if not out_maps:
                     out, macs, copied = conv_forward(inputs[0], spec), total, 0
                 else:
                     stored = self.cache.conv_outputs.get(spec.name)

@@ -663,34 +663,29 @@ def forward_and_naive(x, spec) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestConvForwardPreparedWeights:
-    """_conv_at reads a layer's weights prepared once in float64; the
-    prepared form follows the arrays on the spec and never goes stale."""
+    """_conv_at reads a layer's weights prepared in float64.  A Session
+    prepares them once, on its own copies of the specs; a direct kernel
+    call prepares from the spec's current arrays, so it never goes stale."""
 
     @pytest.mark.parametrize("op", ["conv", "fc"])
     @pytest.mark.parametrize("field", ["weights", "biases"])
     def test_reassigned_arrays_are_used(self, op, field):
-        # The new array is read-only, as load_weights's are, so only its
-        # identity tells it from the one the layer was prepared from.
         x, spec = weighted_layer(op)
         first, _ = forward_and_naive(x, spec)
-        new = getattr(weighted_layer(op, seed=1)[1], field)
-        new.flags.writeable = False
-        setattr(spec, field, new)
+        setattr(spec, field, getattr(weighted_layer(op, seed=1)[1], field))
         got, want = forward_and_naive(x, spec)
         assert np.array_equal(got, want)
         assert not np.array_equal(got, first)
 
     @pytest.mark.parametrize("op", ["conv", "fc"])
-    def test_in_place_write_after_a_forward_raises(self, op):
+    def test_in_place_write_reaches_the_next_call(self, op):
         x, spec = weighted_layer(op)
-        first, want = forward_and_naive(x, spec)
-        with pytest.raises(ValueError, match="read-only"):
-            spec.weights[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            spec.biases += 1.0
-        got, again = forward_and_naive(x, spec)
-        assert np.array_equal(first, want)
-        assert np.array_equal(got, want) and np.array_equal(again, want)
+        first, _ = forward_and_naive(x, spec)
+        spec.weights[0] = 1.0
+        spec.biases += 1.0
+        got, want = forward_and_naive(x, spec)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, first)
 
     @pytest.mark.parametrize("op", ["conv", "fc"])
     def test_deep_copy_is_prepared_again(self, op):
@@ -706,21 +701,28 @@ class TestConvForwardPreparedWeights:
 
     @pytest.mark.parametrize("op", ["conv", "fc"])
     def test_weights_viewing_a_writeable_buffer_are_copied(self, op):
-        # Marking a view of a bytearray read-only does not stop writes
-        # through the bytearray, so the layer keeps read-only copies, and
-        # later writes to the buffer reach neither the spec nor its outputs.
-        x, spec = weighted_layer(op)
-        first, _ = forward_and_naive(x, spec)
+        # A Session keeps prepared copies of weights that view a bytearray:
+        # later writes through the buffer reach the next direct call, and
+        # leave a Session built before them as it was.
+        graph = parse_model(MODEL_TEXT)
+        load_weights(random_weights(graph, 0), graph)
+        spec = graph.layer("c1" if op == "conv" else "f1")
         bufs = [bytearray(a.tobytes()) for a in (spec.weights, spec.biases)]
         spec.weights, spec.biases = (np.frombuffer(buf, np.float32).reshape(a.shape)
                                      for buf, a in zip(bufs, (spec.weights, spec.biases)))
-        assert np.array_equal(forward_and_naive(x, spec)[0], first)
+        x = rand_map(0, *graph.blob_dims[spec.in_blobs[0]])
+        frame = synth_sequence(1, 32, 32, seed=4)[0]
+        session = Session(graph, cache_enabled=False)
+        before = bits(session.run_frame(frame)[0].data)
+        first, _ = forward_and_naive(x, spec)
         for buf in bufs:
-            assert not np.shares_memory(np.frombuffer(buf, np.uint8), spec.weights)
-            assert not np.shares_memory(np.frombuffer(buf, np.uint8), spec.biases)
-            buf[:] = bytes(len(buf))
+            buf[:len(buf) // 2] = bytes(len(buf) // 2)
         got, want = forward_and_naive(x, spec)
-        assert np.array_equal(got, first) and np.array_equal(want, first)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, first)
+        assert np.array_equal(bits(session.run_frame(frame)[0].data), before)
+        fresh = Session(graph, cache_enabled=False).run_frame(frame)[0]
+        assert not np.array_equal(bits(fresh.data), before)
 
     def test_weights_viewing_an_immutable_blob_are_not_copied(self):
         graph = parse_model(MODEL_TEXT)
@@ -745,24 +747,30 @@ class TestConvForwardPreparedWeights:
         assert np.array_equal(got, want)
 
     def test_session_prepares_every_weighted_layer(self, monkeypatch):
-        # Building the Session prepares c1, c2 and f1; its frames, and a
-        # second Session on the same graph, prepare nothing again.
+        # Building a Session prepares c1, c2 and f1 once each, on its own
+        # copies; its frames prepare nothing, a second Session prepares
+        # again, and the caller's specs and arrays are left as they were.
         graph = parse_model(MODEL_TEXT)
         load_weights(random_weights(graph, 0), graph)
-        session = Session(graph)
         weighted = [spec for spec in graph.layers if spec.op in ("conv", "fc")]
         assert [spec.name for spec in weighted] == ["c1", "c2", "f1"]
-        for spec in weighted:
-            assert spec.prepared.weights is spec.weights
-            assert spec.prepared.biases is spec.biases
-            assert not spec.weights.flags.writeable and not spec.biases.flags.writeable
+        arrays_before = [(spec.weights, spec.biases) for spec in weighted]
+        flags_before = [(w.flags.writeable, b.flags.writeable) for w, b in arrays_before]
         calls = []
-        norms = engine._weight_norms
-        monkeypatch.setattr(engine, "_weight_norms", lambda w64: calls.append(w64) or norms(w64))
+        prepare = engine._prepare_weights
+        monkeypatch.setattr(engine, "_prepare_weights",
+                            lambda spec: calls.append(spec.name) or prepare(spec))
+        session = Session(graph)
+        assert calls == ["c1", "c2", "f1"]
         for frame in synth_sequence(3, 32, 32, dx=2, dy=1, seed=4):
             session.run_frame(frame)
-        Session(graph).run_frame(frame)
-        assert calls == []
+        assert calls == ["c1", "c2", "f1"]
+        Session(graph)
+        assert calls == ["c1", "c2", "f1"] * 2
+        for spec, (w, b), flags in zip(weighted, arrays_before, flags_before):
+            assert spec.prepared is None
+            assert spec.weights is w and spec.biases is b
+            assert (w.flags.writeable, b.flags.writeable) == flags
 
 
 # The conv stack of the 227x227 benchmark model, inputs preprocessed as there.
@@ -1233,20 +1241,23 @@ class TestSession:
         sess = make_session(matcher_cfg=cfg)
         for f in frames[:2]:
             sess.run_frame(f)
-        real = engine.conv_forward_cached
         matched = []
 
-        def fail_in_c2(input, spec, *args):
-            if spec.name == "c2":
-                raise RuntimeError("injected")
-            return real(input, spec, *args)
+        def fail_in_c2(real):
+            # A c2 with no mappings to copy (as on the cut) runs conv_forward.
+            def kernel(input, spec, *args):
+                if spec.name == "c2":
+                    raise RuntimeError("injected")
+                return real(input, spec, *args)
+            return kernel
 
         def spy(*args, **kwargs):
             matched.append(real_match(*args, **kwargs))
             return matched[-1]
 
         real_match = engine.match_frames
-        monkeypatch.setattr(engine, "conv_forward_cached", fail_in_c2)
+        for name in ("conv_forward", "conv_forward_cached"):
+            monkeypatch.setattr(engine, name, fail_in_c2(getattr(engine, name)))
         monkeypatch.setattr(engine, "match_frames", spy)
         with pytest.raises(RuntimeError, match="injected"):
             sess.run_frame(frames[2])
@@ -1313,6 +1324,54 @@ class TestSession:
         assert (cut.mappings, cut.match_ratio, cut.stats.searches) == ([], 0.0, 0)
         assert anchors[3] is None
         assert matches[4].stats.searches > 0 and anchors[4] is matches[4]
+
+    def test_cut_frame_runs_the_full_kernel(self, monkeypatch):
+        # A cut frame has no mappings to copy at any conv, so each runs
+        # conv_forward, as on a flush, and records every MAC as computed.
+        cfg = MatcherConfig(block_size=8, skip_k=1, search_range=8)
+        pan = synth_sequence(2, 32, 32, dx=2, dy=1, noise=0.005, seed=23)
+        scene = synth_sequence(1, 32, 32, seed=99)
+        sess = make_session(matcher_cfg=cfg)
+        for f in pan:
+            sess.run_frame(f)
+        calls = []
+        for name in ("conv_forward", "conv_forward_cached"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda x, spec, *args, name=name, real=real:
+                                calls.append((name, spec.name)) or real(x, spec, *args))
+        _, metrics = sess.run_frame(scene[0])
+        assert not metrics.flushed and sess.last_match.match_ratio == 0
+        assert calls == [("conv_forward", "c1"), ("conv_forward", "c2")]
+        for r in metrics.per_layer:
+            assert r.computed_macs == r.total_macs and r.copied_pixels == 0
+
+    def test_anchor_survives_an_expiry_flush(self):
+        # The pan's motion outlives the flush, so the first cache-assisted
+        # frame after it keeps the anchor's prediction instead of searching.
+        # A disabled cache never has an anchor, and a cut still clears it.
+        cfg = MatcherConfig(block_size=8, skip_k=1, search_range=8)
+        pan = synth_sequence(5, 32, 32, dx=2, dy=1, noise=0.005, seed=23)
+        sess = make_session(matcher_cfg=cfg, expire_n=3)
+        runs = []
+        for f in pan:
+            _, metrics = sess.run_frame(f)
+            runs.append((metrics, sess.last_match, sess.cache.anchor))
+        assert [m.flushed for m, _, _ in runs] == [True, False, False, True, False]
+        searched = runs[1][1]
+        assert searched.stats.searches > 0 and runs[1][2] is searched
+        assert runs[3][2] is searched
+        metrics, match, anchor = runs[4]
+        assert match.stats.searches == 0 and anchor is searched
+        assert metrics.copied_pixels > 0
+
+        _, metrics = sess.run_frame(synth_sequence(1, 32, 32, seed=99)[0])
+        assert not metrics.flushed and sess.last_match.match_ratio == 0
+        assert sess.cache.anchor is None
+
+        plain = make_session(matcher_cfg=cfg, cache_enabled=False)
+        for f in pan:
+            plain.run_frame(f)
+            assert plain.cache.anchor is None
 
     def test_graph_without_weights_rejected(self):
         with pytest.raises(ValueError, match="no weights loaded"):
