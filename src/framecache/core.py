@@ -110,7 +110,11 @@ def _planar(data: np.ndarray, dtype) -> np.ndarray:
 class Frame:
     """8-bit image: uint8 array of shape (channels, height, width), read-only.
 
-    Data of another dtype must hold only integers in [0, 255].
+    Data of another dtype must hold only integers in [0, 255].  A Frame
+    owns its pixels: it copies the caller's data, so later writes to the
+    caller's buffer (a capture loop reusing one, say) cannot change a
+    frame that a Session keeps as its match reference.  FeatureMap, which
+    the engine builds from fresh arrays, keeps the caller's array.
     """
 
     data: np.ndarray
@@ -121,7 +125,7 @@ class Frame:
         if data.dtype != np.uint8 and not (np.all((data >= 0) & (data <= 255))
                                            and np.all(data == np.round(data))):
             raise ValueError("frame data is not exactly representable as uint8")
-        object.__setattr__(self, "data", _planar(data, np.uint8))
+        object.__setattr__(self, "data", _planar(np.array(data, dtype=np.uint8), np.uint8))
 
     @property
     def channels(self) -> int:

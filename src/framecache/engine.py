@@ -34,8 +34,9 @@ common path: a float64 matrix product in whatever order the BLAS picks
 comes with a rigorous error bound covering its distance to the
 fixed-order sum, and where every value inside that bound rounds to the
 same float32 the stored result is known (_screen).  The product reads
-im2col rows gathered from a channels-last copy of the input, so each row
-is in (kernel row, kernel col, input channel) order, and the weights are
+float64 im2col rows gathered from a zero-padded channels-last float32
+copy of the input, which holds its values exactly, so each row is in
+(kernel row, kernel col, input channel) order, and the weights are
 prepared in that column order; the order of the product's terms is free,
 so only the BLAS's order changes.  The bound scales with the terms'
 magnitudes, which Cauchy-Schwarz caps at |b| + ||x|| * ||w|| for window x
@@ -315,9 +316,11 @@ def _check_conv(input: FeatureMap, spec: LayerSpec) -> tuple[int, int]:
 _U64 = 2.0 ** -53
 _TINY64 = float(np.finfo(np.float64).tiny)
 
-# Most float64 window values _conv_at gathers at once (512 KB, which keeps
-# a chunk in a core's L2 cache), so its memory stays bounded whatever the
-# layer size.
+# Most float64 window values _conv_at gathers at once, whether as blocks of
+# output rows (a row that holds more is split) or from a list of pixels
+# (512 KB, which keeps a chunk in a core's L2 cache), so its memory stays
+# bounded whatever the layer size; a single window that holds more is
+# gathered alone.
 _CHUNK_ELEMS = 1 << 16
 
 
@@ -380,14 +383,14 @@ class PreparedWeights(NamedTuple):
     columns run in (kernel row, kernel col, input channel) order, the
     order of _conv_at's channels-last im2col rows; order is the
     permutation of those columns that restores the fixed summation order
-    (input channel, kernel row, kernel col).  b64 holds the biases in
-    float64, w_norms the _weight_norms of w64 and b_abs |b64|.  An fc
-    layer is a 1x1 kernel, so both orders are its flattened input order
-    and order is the identity.
+    (input channel, kernel row, kernel col), or None where both orders
+    agree: for a 1x1 kernel, as every fc layer is (both are its flattened
+    input order), and for one input channel.  b64 holds the biases in
+    float64, w_norms the _weight_norms of w64 and b_abs |b64|.
     """
 
     w64: np.ndarray
-    order: np.ndarray
+    order: np.ndarray | None
     b64: np.ndarray
     w_norms: np.ndarray
     b_abs: np.ndarray
@@ -400,7 +403,8 @@ def _prepare_weights(spec: LayerSpec) -> PreparedWeights:
     out_ch, c, kh, kw = w.shape if w.ndim == 4 else (*w.shape, 1, 1)
     w64 = np.ascontiguousarray(w.reshape(out_ch, c, kh, kw).transpose(0, 2, 3, 1),
                                dtype=np.float64).reshape(out_ch, -1)
-    order = np.arange(w64.shape[1]).reshape(kh, kw, c).transpose(2, 0, 1).ravel()
+    order = (None if c == 1 or kh * kw == 1
+             else np.arange(w64.shape[1]).reshape(kh, kw, c).transpose(2, 0, 1).ravel())
     b64 = b.astype(np.float64)
     return PreparedWeights(w64, order, b64, _weight_norms(w64), np.abs(b64))
 
@@ -411,24 +415,61 @@ def _fixed_order(b: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([b[:, None], terms], axis=1), axis=1)[:, -1]
 
 
-def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
-             idx_x: np.ndarray) -> np.ndarray:
-    """Convolution outputs at the output pixels (idx_y[i], idx_x[i]), as a
-    float32 (out_ch, n) array.  Zero padding, square kernel, per-channel
-    bias.  fc_forward runs it on one pixel with (out, n) weights.  It reads
-    the layer's weights, their norm bounds and |b| in float64 from
+def _channels_last(x: np.ndarray, p: int) -> np.ndarray:
+    """The (c, h, w) float32 input as a zero-padded (h + 2p, w + 2p, c)
+    float32 plane, which holds its values exactly.  A transposed
+    assignment runs its inner loop over the c channels, so below 8
+    channels one strided copy per channel is faster (0.04 against 0.11 ms
+    at 3x227x227, one core of a 2-vCPU x86 VM); from 8 on the transposed
+    assignment is (0.004 against 0.009 ms at 16x27x27, and one copy for
+    an fc column)."""
+    c, h, w = x.shape
+    plane = np.zeros((h + 2 * p, w + 2 * p, c), dtype=np.float32)
+    inner = plane[p:p + h, p:p + w]
+    if c < 8:
+        for ch in range(c):
+            inner[..., ch] = x[ch]
+    else:
+        inner[...] = x.transpose(1, 2, 0)
+    return plane
+
+
+def _row_blocks(out_h: int, out_w: int, step: int):
+    """(rows, cols) slices of blocks of at most step output pixels that
+    tile the output in row-major order: runs of whole rows when a row
+    fits, else pieces of one row."""
+    if out_w <= step:
+        for y in range(0, out_h, step // out_w):
+            yield slice(y, y + step // out_w), slice(0, out_w)
+    else:
+        for y in range(out_h):
+            for x in range(0, out_w, step):
+                yield slice(y, y + 1), slice(x, x + step)
+
+
+def _conv_at(input: FeatureMap, spec: LayerSpec,
+             at: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Convolution outputs at the output pixels (at[0][i], at[1][i]), or
+    at every output pixel in row-major order if at is None, as a float32
+    (out_ch, n) array.  Zero padding, square kernel, per-channel bias.
+    fc_forward runs it on one pixel with (out, n) weights.  It reads the
+    layer's weights, their norm bounds and |b| in float64 from
     spec.prepared, or prepares them now from the current arrays if the
     spec has none.
 
     Each output stores the float32 of its fixed-order float64 sum: bias
     first, then the weight*input terms in (input channel, kernel row,
     kernel col) ascending order, added one at a time.  The input is copied
-    once into a zero-padded channels-last float64 plane, so each pixel's
-    window is k runs of k*in_ch contiguous values; the windows are
-    gathered as im2col rows in (kernel row, kernel col, input channel)
-    order, at most _CHUNK_ELEMS values at a time, and multiplied by the
-    weights (prepared in the same column order) in float64 in whatever
-    order the BLAS picks.  The terms' magnitudes are bounded by
+    once into a zero-padded channels-last float32 plane (_channels_last),
+    so each pixel's window is k runs of k*in_ch contiguous values; the
+    windows are gathered as float64 im2col rows in (kernel row, kernel
+    col, input channel) order, at most _CHUNK_ELEMS values at a time, and
+    multiplied by the weights (prepared in the same column order) in
+    float64 in whatever order the BLAS picks.  Every output pixel is
+    gathered as blocks of whole output rows (_row_blocks), each by one
+    strided copy that casts as it copies; a list of pixels is gathered by
+    fancy indexing and cast after.  The float32 to float64 cast is exact,
+    so both gathers give the same rows.  The terms' magnitudes are bounded by
     Cauchy-Schwarz, |b| + ||window|| * ||w|| (see _weight_norms), in two
     stages.  Stage 1 bounds every window's 2-norm by one number,
     sqrt(n) * max|x| over the whole input (||x||_2 <= sqrt(n)*||x||_inf),
@@ -448,41 +489,58 @@ def _conv_at(input: FeatureMap, spec: LayerSpec, idx_y: np.ndarray,
     w64, b64 = prep.w64, prep.b64
     out_ch, n_cols = w64.shape
     c, h, w = input.data.shape
-    plane = np.zeros((h + 2 * p, w + 2 * p, c))
-    plane[p:p + h, p:p + w] = input.data.transpose(1, 2, 0)
+    plane = _channels_last(input.data, p)
     # (out_y, out_x, ky, kx*in_ch) view of every output pixel's window.
+    out_h, out_w = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
     row, col, item = plane.strides
     windows = np.lib.stride_tricks.as_strided(
-        plane, ((h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1, k, k * c),
-        (s * row, s * col, row, item), writeable=False)
-    sums = np.empty((idx_y.size, out_ch))
+        plane, (out_h, out_w, k, k * c), (s * row, s * col, row, item), writeable=False)
+
+    def gather(ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return windows[ys, xs].reshape(-1, n_cols).astype(np.float64)
+
+    n_px = out_h * out_w if at is None else at[0].size
+    sums = np.empty((n_px, out_ch))
     step = max(1, _CHUNK_ELEMS // n_cols)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, idx_y.size, step):
-            px = slice(lo, lo + step)
-            cols = windows[idx_y[px], idx_x[px]].reshape(-1, n_cols)
-            np.matmul(cols, w64.T, out=sums[px])
+        if at is None:
+            buf = np.empty(min(step, n_px) * n_cols)
+            lo = 0
+            for ys, xs in _row_blocks(out_h, out_w, step):
+                block = windows[ys, xs]
+                n = block.shape[0] * block.shape[1]
+                cols = buf[:n * n_cols]
+                np.copyto(cols.reshape(block.shape), block)
+                np.matmul(cols.reshape(n, n_cols), w64.T, out=sums[lo:lo + n])
+                lo += n
+        else:
+            for lo in range(0, n_px, step):
+                px = slice(lo, lo + step)
+                np.matmul(gather(at[0][px], at[1][px]), w64.T, out=sums[px])
         sums += b64
         x_norm = math.sqrt(n_cols) * (1.0 + 4 * _U64) * float(np.abs(input.data).max())
         out, unsettled = _screen(sums, x_norm * prep.w_norms + prep.b_abs, n_cols + 1)
         rows = np.flatnonzero(unsettled.any(axis=1))
+        ys, xs = np.divmod(rows, out_w) if at is None else (at[0][rows], at[1][rows])
         for lo in range(0, rows.size, step):
             pix = rows[lo:lo + step]
-            cols = windows[idx_y[pix], idx_x[pix]].reshape(-1, n_cols)
+            cols = gather(ys[lo:lo + step], xs[lo:lo + step])
             bound = np.multiply.outer(np.sqrt(np.einsum("ij,ij->i", cols, cols)), prep.w_norms)
             bound += prep.b_abs
             out[pix], left = _screen(sums[pix], bound, n_cols + 1)
             r, ch = np.nonzero(left)
             if r.size:
-                out[pix[r], ch] = _fixed_order(b64[ch], (w64[ch] * cols[r])[:, prep.order])
+                terms = w64[ch] * cols[r]
+                if prep.order is not None:
+                    terms = terms[:, prep.order]
+                out[pix[r], ch] = _fixed_order(b64[ch], terms)
     return np.ascontiguousarray(out.T)
 
 
 def conv_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     """Spatial convolution over every output pixel (see _conv_at)."""
     out_h, out_w = _check_conv(input, spec)
-    idx_y, idx_x = np.indices((out_h, out_w)).reshape(2, -1)
-    return FeatureMap(_conv_at(input, spec, idx_y, idx_x).reshape(-1, out_h, out_w))
+    return FeatureMap(_conv_at(input, spec).reshape(-1, out_h, out_w))
 
 
 def build_reuse_bitmap(mappings: list[RegionMapping], out_w: int, out_h: int) -> np.ndarray:
@@ -535,7 +593,7 @@ def conv_forward_cached(input: FeatureMap, spec: LayerSpec, cached_out: FeatureM
     bitmap = build_reuse_bitmap(mappings, out_w, out_h)
     idx_y, idx_x = np.nonzero(~bitmap)
     if idx_y.size:
-        out[:, idx_y, idx_x] = _conv_at(input, spec, idx_y, idx_x)
+        out[:, idx_y, idx_x] = _conv_at(input, spec, (idx_y, idx_x))
 
     copied = int(bitmap.sum()) * out_ch
     computed = idx_y.size * out_ch * in_ch * k * k
@@ -613,8 +671,7 @@ def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
         raise ValueError(f"layer {spec.name!r}: fc expects {n} inputs, "
                          f"got {input.data.size}")
     column = FeatureMap(input.data.reshape(-1, 1, 1))
-    origin = np.zeros(1, dtype=np.intp)
-    return FeatureMap(_conv_at(column, spec, origin, origin).reshape(-1, 1, 1))
+    return FeatureMap(_conv_at(column, spec).reshape(-1, 1, 1))
 
 
 def softmax_forward(input: FeatureMap) -> FeatureMap:

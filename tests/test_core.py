@@ -111,6 +111,15 @@ class TestFrameTypes:
         with pytest.raises(ValueError):
             f.data[0, 0, 0] = 1
 
+    def test_frame_owns_its_pixels(self):
+        buf = np.zeros((3, 4, 4), dtype=np.uint8)
+        view = buf[1]
+        f = Frame(buf)
+        buf[0, 0, 0] = 9
+        view[2, 3] = 7
+        assert not f.data.any()
+        assert buf.flags.writeable
+
     def test_featuremap_dtype(self):
         fm = FeatureMap(np.ones((2, 3, 3)))
         assert fm.data.dtype == np.float32

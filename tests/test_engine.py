@@ -71,7 +71,9 @@ class TestPreprocess:
         assert out.data[0, 0, 1] == np.float32(1.0)
 
 
-# (in channels, height, width, kernel, out channels, stride, pad)
+# (in channels, height, width, kernel, out channels, stride, pad).  The
+# plane interleaves one channel at a time below 8 channels and by one
+# transposed copy from 8 on; (3, 23, 27, 11, ...) has conv1's geometry.
 CONV_SHAPES = [
     (1, 5, 5, 3, 1, 1, 0),
     (3, 8, 7, 3, 4, 1, 1),
@@ -79,6 +81,8 @@ CONV_SHAPES = [
     (4, 6, 10, 1, 2, 1, 0),
     (1, 7, 7, 3, 2, 3, 0),
     (2, 11, 8, 4, 3, 2, 1),
+    (3, 23, 27, 11, 2, 4, 0),
+    (9, 6, 5, 3, 3, 2, 1),
 ]
 
 # Finite float32 values from zero and subnormals through 1e-30 up to 2**100
@@ -145,6 +149,15 @@ class TestConvForward:
         assert np.array_equal(bits(conv_forward(x, spec).data), want)
         stale = FeatureMap(np.full(want.shape, np.nan, dtype=np.float32))
         assert np.array_equal(bits(conv_forward_cached(x, spec, stale, [])[0].data), want)
+
+    @pytest.mark.parametrize("out_h,out_w,step", [(4, 5, 3), (4, 5, 5), (4, 5, 11),
+                                                  (4, 5, 100), (1, 1, 1), (3, 7, 1)])
+    def test_row_blocks_tile_the_output_in_order(self, out_h, out_w, step):
+        # The full path's gather holds at most step pixels' windows at once.
+        pixels = np.arange(out_h * out_w).reshape(out_h, out_w)
+        blocks = [pixels[ys, xs].ravel() for ys, xs in engine._row_blocks(out_h, out_w, step)]
+        assert all(0 < b.size <= step for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), pixels.ravel())
 
     def test_all_zero_window_stores_positive_zero(self, monkeypatch):
         # Zero inputs (and zero padding) under zero biases: every sum is an
