@@ -19,11 +19,11 @@ scores at most ``PSNR_MAX - 1``, however many samples it holds, so a block
 never outscores one with a smaller SSE, and threshold_t = PSNR_MAX - 1
 verifies only identical blocks.
 
-Two accelerations are built in: Step 2 can search only every k-th grid row
-and column (``skip_k``), and it scores no (block, offset) pair twice.  Both
-search strategies score, range-check, count and rank their candidates
-through one method, ``_BlockBatch.best``; a strategy only chooses which
-offsets to try.
+One acceleration is built in: Step 2 can search only every k-th grid row
+and column (``skip_k``).  Both search strategies score, range-check, count
+and rank their candidates through one method, ``_BlockBatch.best``; a
+strategy only chooses which offsets to try.  The search keeps no SSEs
+between its steps, so its memory does not grow with search_range.
 
 The cut gate runs before Step 2, and only where the call would search.
 It decides from block sums whether one motion, keeping PRIOR_MIN of the
@@ -80,8 +80,11 @@ _SDSP = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
 
 def check_count(name: str, value, least: int):
     """Raise ValueError unless value is an integer (one operator.index
-    takes, so NumPy integers pass and floats do not) of at least least."""
+    takes, so NumPy integers pass and floats do not), not a bool, of at
+    least least."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -128,17 +131,16 @@ class BlockMatch:
 
 @dataclass
 class MatchStats:
-    """Work counters, mostly for tests and the matcher benchmark."""
+    """Work counters, for tests, the matcher benchmark and the Session."""
 
     # Step-2 block searches: 0 for a kept prediction and for a pair the cut
-    # gate rejects (which covers nothing).
+    # gate rejects (which covers nothing).  The Session reads it to tell a
+    # searched match, which becomes its motion anchor, from a kept
+    # prediction.
     searches: int = 0
-    # SSEs the call scored, all steps: the search's distinct (block,
-    # offset) pairs, and every block in view at the motion each Step 4
-    # verifies, searched or not.  A pair the search scored is scored, and
-    # counted, again in Step 4, and after a rejected prediction the search
-    # and Step 4 may score pairs the prediction's verification already
-    # scored.
+    # Every SSE the call computed, all steps: each in-range candidate of
+    # each search step, and every block in view at the motion each Step 4
+    # verifies, searched or not.
     psnr_evals: int = 0
 
 
@@ -259,7 +261,7 @@ def _is_cut(cur16, ref16, rows: int, cols: int, cfg: MatcherConfig) -> bool:
     D**2 / bs**2 with D the difference of the two blocks' channel sums, so
     the blocks whose bound clears threshold_t include every block Step 4
     would verify at that motion.  Motions are searched coarse to fine over
-    [-r, r]**2, r capped by the frame as _BlockBatch caps it: steps of
+    [-r, r]**2, r the search range capped by the frame: steps of
     bs // 2 to the lowest mean bound over the blocks inside ref, among the
     motions that keep PRIOR_MIN of the grid inside ref (no other can reach
     the bar); then the bs x bs offsets from step - 1 before that motion to
@@ -341,15 +343,12 @@ class _BlockBatch:
     """Candidate evaluation for h x w blocks at (by[i], bx[i]), searched in
     lockstep.
 
-    Every SSE scored for block i at offset (dx, dy) is kept in
-    ``sse[i, dy + r, dx + r]``, NaN until scored, so the search scores no
-    pair twice.  The radius r is the
-    search range capped by the largest offset the frame admits, so the
-    table never outgrows the frame.  Each block follows its own search
-    trajectory; a search step scores the pattern around every block's
-    center with one gather over the reference frame, the blocks' own
-    windows having been gathered once, at construction.  SSE values are
-    exact, so they are identical no matter which step scored them.
+    Each block follows its own search trajectory; a search step scores the
+    pattern around every block's center with one gather over the reference
+    frame, the blocks' own windows having been gathered once, at
+    construction.  A step scores every in-range candidate it proposes, also
+    one an earlier step scored, so the batch holds no SSEs between steps;
+    SSE values are exact, so a rescored offset scores the same.
     """
 
     def __init__(self, cur16, ref16, bx: np.ndarray, by: np.ndarray, h: int, w: int,
@@ -358,7 +357,6 @@ class _BlockBatch:
         self.cur_rows = _gather(cur16, h, w, by, bx)
         self.ref = ref16
         self.bx, self.by = bx, by
-        self.cfg = cfg
         self.stats = stats
         self.count = cur16.shape[0] * h * w
         ref_h, ref_w = ref16.shape[1], ref16.shape[2]
@@ -367,65 +365,57 @@ class _BlockBatch:
         self.dx_hi = np.minimum(sr, ref_w - w - bx)
         self.dy_lo = np.maximum(-sr, -by)
         self.dy_hi = np.minimum(sr, ref_h - h - by)
-        self.r = r = min(sr, max(ref_h - h, ref_w - w))
-        self.sse = np.full((len(bx), 2 * r + 1, 2 * r + 1), np.nan)
 
     @property
     def n(self) -> int:
         return len(self.bx)
 
-    def best(self, idx: np.ndarray, centers: np.ndarray, pattern) -> np.ndarray:
-        """Per block idx[i], the lowest-SSE in-range offset of centers[i] + pattern.
+    def best(self, idx: np.ndarray, centers: np.ndarray,
+             pattern) -> tuple[np.ndarray, np.ndarray]:
+        """Per block idx[i], the lowest-SSE in-range offset of centers[i] +
+        pattern, and the SSE there.
 
-        Ties prefer small |dx|+|dy|, then dy, then dx.  Offsets not yet in
-        the table are scored in one gather and written back.
+        Ties prefer small |dx|+|dy|, then dy, then dx.  The in-range
+        candidates are scored in one gather.
         """
         cand = centers[:, None, :] + np.asarray(pattern)[None]
         dx, dy = cand[..., 0], cand[..., 1]
         valid = ((self.dx_lo[idx, None] <= dx) & (dx <= self.dx_hi[idx, None])
                  & (self.dy_lo[idx, None] <= dy) & (dy <= self.dy_hi[idx, None]))
         rows, cols = np.nonzero(valid)
-        blk, vdx, vdy = idx[rows], dx[rows, cols], dy[rows, cols]
-        at = (blk, vdy + self.r, vdx + self.r)
-        vals = self.sse[at]
-        miss = np.isnan(vals)
-        mb, my, mx = blk[miss], vdy[miss], vdx[miss]
-        vals[miss] = _window_sse(self.cur_rows[mb], self.ref, self.h, self.w,
-                                 self.by[mb] + my, self.bx[mb] + mx)
-        self.sse[at] = vals
-        self.stats.psnr_evals += len(mb)
+        blk = idx[rows]
         sse = np.full(dx.shape, np.inf)
-        sse[rows, cols] = vals
-        order = np.lexsort((*_rank(dx, dy), sse))
-        return cand[np.arange(len(idx)), order[:, 0]]
-
-    def search(self) -> tuple[np.ndarray, np.ndarray]:
-        """Step 2: every block's best offset [n, 2] under cfg.strategy, and
-        the SSE there."""
-        offsets = SEARCH_STRATEGIES[self.cfg.strategy](self)
-        return offsets, self.sse[np.arange(self.n), offsets[:, 1] + self.r,
-                                 offsets[:, 0] + self.r]
+        sse[rows, cols] = _window_sse(self.cur_rows[blk], self.ref, self.h, self.w,
+                                      self.by[blk] + dy[rows, cols], self.bx[blk] + dx[rows, cols])
+        self.stats.psnr_evals += len(blk)
+        first = np.lexsort((*_rank(dx, dy), sse))[:, 0]
+        i = np.arange(len(idx))
+        return cand[i, first], sse[i, first]
 
 
-def _diamond_search(b: _BlockBatch) -> np.ndarray:
+def _diamond_search(b: _BlockBatch) -> tuple[np.ndarray, np.ndarray]:
     # Large diamond until its best point is the center, then one small step.
     centers = np.zeros((b.n, 2), dtype=np.int64)
     active = np.arange(b.n)
     while active.size:
-        best = b.best(active, centers[active], _LDSP)
+        best, _ = b.best(active, centers[active], _LDSP)
         moved = np.any(best != centers[active], axis=1)
         centers[active] = best
         active = active[moved]
     return b.best(np.arange(b.n), centers, _SDSP)
 
 
-def _exhaustive_search(b: _BlockBatch) -> np.ndarray:
-    # The full square of offsets, one block at a time, so one gather holds
-    # at most one block's (2r+1)^2 windows.
-    side = np.arange(-b.r, b.r + 1)
-    square = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+def _exhaustive_search(b: _BlockBatch) -> tuple[np.ndarray, np.ndarray]:
+    # Every in-range offset, one block at a time, so one gather holds at
+    # most one block's windows.
     center = np.zeros((1, 2), dtype=np.int64)
-    return np.concatenate([b.best(np.array([i]), center, square) for i in range(b.n)])
+    found = []
+    for i in range(b.n):
+        rect = np.meshgrid(np.arange(b.dx_lo[i], b.dx_hi[i] + 1),
+                           np.arange(b.dy_lo[i], b.dy_hi[i] + 1))
+        found.append(b.best(np.array([i]), center, np.stack(rect, axis=-1).reshape(-1, 2)))
+    offsets, sse = zip(*found)
+    return np.concatenate(offsets), np.concatenate(sse)
 
 
 SEARCH_STRATEGIES = {
@@ -447,7 +437,7 @@ def block_search(cur: Frame, ref: Frame, block: Rect, cfg: MatcherConfig) -> Blo
     batch = _BlockBatch(cur.data.astype(np.int16), ref.data.astype(np.int16),
                         np.array([block.x]), np.array([block.y]), block.h, block.w,
                         cfg, MatchStats())
-    offsets, sse = batch.search()
+    offsets, sse = SEARCH_STRATEGIES[cfg.strategy](batch)
     dx, dy = offsets[0].tolist()
     return BlockMatch(block, (dx, dy), psnr_from_sse(float(sse[0]), batch.count))
 
@@ -626,6 +616,6 @@ def match_frames(cur: Frame, ref: Frame, cfg: MatcherConfig | None = None,
 
     row, col = np.indices((rows, cols))[:, ::k, ::k].reshape(2, -1)
     batch = _BlockBatch(cur16, ref16, col * bs, row * bs, bs, bs, cfg, stats)
-    offsets, best = batch.search()
+    offsets, best = SEARCH_STRATEGIES[cfg.strategy](batch)
     stats.searches += batch.n
     return finish(_vote(offsets[_passes(best, batch.count, cfg.threshold_t)]))

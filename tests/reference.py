@@ -138,12 +138,13 @@ def exhaustive_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_r
     """Scan every in-bounds offset; ties by (|dx|+|dy|, dy, dx).
 
     cur/ref are (C, H, W) uint8 arrays.  Returns (dx, dy, sse, set of
-    distinct (dx, dy) offsets scored).
+    distinct (dx, dy) offsets scored, list of the in-range (dx, dy) visits
+    in order).
     """
     _, h, w = ref.shape
     cblk = cur[:, block_y:block_y + block_h, block_x:block_x + block_w]
     best = None
-    scored = set()
+    visits = []
     for dy in range(-search_range, search_range + 1):
         for dx in range(-search_range, search_range + 1):
             x = block_x + dx
@@ -151,25 +152,28 @@ def exhaustive_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_r
             if x < 0 or y < 0 or x + block_w > w or y + block_h > h:
                 continue
             sse = sse_int(cblk, ref[:, y:y + block_h, x:x + block_w])
-            scored.add((dx, dy))
+            visits.append((dx, dy))
             key = (sse, abs(dx) + abs(dy), dy, dx)
             if best is None or key < best:
                 best = key
                 best_off = (dx, dy, sse)
-    return (*best_off, scored)
+    return (*best_off, set(visits), visits)
 
 
 def diamond_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_range):
     """Serial diamond search for one block; ties by (sse, |dx|+|dy|, dy, dx).
 
     Large diamond until its best point is the center, then one small
-    diamond step.  Returns (dx, dy, sse, set of distinct (dx, dy) offsets scored).
+    diamond step.  Returns (dx, dy, sse, set of distinct (dx, dy) offsets
+    scored, list of the in-range (dx, dy) visits in order, an offset as
+    often as a step proposes it).
     """
     large = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (1, -1), (-1, 1), (1, 1))
     small = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
     _, h, w = ref.shape
     cblk = cur[:, block_y:block_y + block_h, block_x:block_x + block_w]
     scored = {}
+    visits = []
 
     def best(cx, cy, pattern):
         best_key = None
@@ -179,6 +183,7 @@ def diamond_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_rang
             if (abs(dx) > search_range or abs(dy) > search_range
                     or x < 0 or y < 0 or x + block_w > w or y + block_h > h):
                 continue
+            visits.append((dx, dy))
             if (dx, dy) not in scored:
                 scored[(dx, dy)] = sse_int(cblk, ref[:, y:y + block_h, x:x + block_w])
             key = (scored[(dx, dy)], abs(dx) + abs(dy), dy, dx)
@@ -193,7 +198,7 @@ def diamond_search_ref(cur, ref, block_x, block_y, block_w, block_h, search_rang
             break
         cx, cy = bx, by
     dx, dy = best(cx, cy, small)
-    return dx, dy, scored[(dx, dy)], set(scored)
+    return dx, dy, scored[(dx, dy)], set(scored), visits
 
 
 def global_motion_ref(cur, ref, block_size, skip_k, search_range, threshold_t):
@@ -207,7 +212,7 @@ def global_motion_ref(cur, ref, block_size, skip_k, search_range, threshold_t):
     votes = {}
     for y in range(0, h // bs * bs, skip_k * bs):
         for x in range(0, w // bs * bs, skip_k * bs):
-            dx, dy, _, _ = diamond_search_ref(cur, ref, x, y, bs, bs, search_range)
+            dx, dy, *_ = diamond_search_ref(cur, ref, x, y, bs, bs, search_range)
             if psnr_ref(cur[:, y:y + bs, x:x + bs],
                         ref[:, y + dy:y + dy + bs, x + dx:x + dx + bs]) > threshold_t:
                 votes[(dx, dy)] = votes.get((dx, dy), 0) + 1

@@ -1433,6 +1433,8 @@ class TestSession:
     def test_fractional_expire_n_rejected(self):
         with pytest.raises(ValueError, match="expire_n must be an integer"):
             make_session(expire_n=2.5)
+        with pytest.raises(ValueError, match="expire_n must be an integer"):
+            make_session(expire_n=True)
         assert make_session(expire_n=np.int64(3)).cache.expire_n == 3
 
     def test_input_smaller_than_block_rejected(self):
@@ -1542,14 +1544,18 @@ class TestExactReuse:
     def test_stride_aligned_pan_copies_exactly(self, seed):
         # (32, 16) px per frame is a whole number of strides at every conv
         # of the benchmark's conv stack, and lies within the search range.
+        # The diamond search does not reach it on this pan; the exhaustive
+        # one finds it on every pair.
         kw = dict(mean=(123.68, 116.78, 103.94), scale=0.017)
-        cached = make_session(BENCH_CONV_STACK, seed, matcher_cfg=exact_cfg(search_range=32),
-                              **kw)
+        cached = make_session(BENCH_CONV_STACK, seed,
+                              matcher_cfg=exact_cfg(search_range=32, strategy="exhaustive"), **kw)
         plain = make_session(BENCH_CONV_STACK, seed, cache_enabled=False, **kw)
         copied = 0
         for f in synth_sequence(3, 227, 227, dx=32, dy=16, seed=seed, square=True):
             out_c, metrics = cached.run_frame(f)
             out_p, _ = plain.run_frame(f)
+            if not metrics.flushed:
+                assert cached.last_match.global_motion == (-32, -16)
             copied += metrics.copied_pixels
             assert np.array_equal(bits(out_c.data), bits(out_p.data))
         assert copied > 0

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -108,7 +110,7 @@ class TestBlockSearch:
             ref = noise_frame(seed + 50)
             for bx, by in ((0, 0), (8, 8), (16, 16)):
                 m = block_search(cur, ref, Rect(bx, by, 8, 8), cfg)
-                dx, dy, _, _ = exhaustive_search_ref(cur.data, ref.data, bx, by, 8, 8, 5)
+                dx, dy, *_ = exhaustive_search_ref(cur.data, ref.data, bx, by, 8, 8, 5)
                 assert m.offset == (dx, dy)
 
     def test_diamond_never_worse_than_zero_offset(self):
@@ -133,9 +135,10 @@ class TestBlockSearch:
             assert ds.psnr <= es.psnr
 
     @pytest.mark.parametrize("strategy", ["diamond", "exhaustive"])
-    def test_lockstep_search_equals_serial_reference(self, strategy):
+    def test_lockstep_search_equals_serial_reference(self, strategy, monkeypatch):
         # every block of a grid searched at once must follow its own serial
-        # trajectory: same offset, same PSNR, same SSEs scored, each once
+        # trajectory: same offset, same PSNR, and the same offsets scored,
+        # each as often as the serial search visits it
         search_ref = {"diamond": diamond_search_ref, "exhaustive": exhaustive_search_ref}[strategy]
         cfg = MatcherConfig(block_size=8, strategy=strategy, search_range=6)
         pairs = [(noise_frame(s, channels=3, h=40, w=48),
@@ -150,16 +153,37 @@ class TestBlockSearch:
         stripes = rng.integers(0, 2, size=100, dtype=np.uint8)[
             np.add.outer(np.arange(41), np.arange(50))][None]
         pairs += [(Frame(stripes[:, :40, :48]), Frame(stripes[:, 1:41, 2:50]))]
+
+        class Rows(np.ndarray):
+            # the batch's block windows: a pick of rows keeps the block indices
+            def __getitem__(self, blk):
+                picked = np.asarray(self)[blk].view(Rows)
+                picked.blk = blk
+                return picked
+
+        scorings = []
+
+        def recording_sse(cur_rows, ref16, h, w, ry, rx):
+            scorings.append((cur_rows.blk, ry, rx))
+            return _window_sse(np.asarray(cur_rows), ref16, h, w, ry, rx)
+
+        monkeypatch.setattr(matching, "_window_sse", recording_sse)
         for ref, cur in pairs:
             grid = partition_grid(cur.width, cur.height, 8)
             stats = MatchStats()
             batch = _BlockBatch(cur.data.astype(np.int16), ref.data.astype(np.int16),
                                 np.array([b.x for b in grid]), np.array([b.y for b in grid]),
                                 8, 8, cfg, stats)
-            offsets, best = batch.search()
+            batch.cur_rows = batch.cur_rows.view(Rows)
+            scorings.clear()
+            offsets, best = SEARCH_STRATEGIES[strategy](batch)
+            visited = [Counter() for _ in grid]
+            for blk, ry, rx in scorings:
+                for i, y, x in zip(blk.tolist(), ry.tolist(), rx.tolist()):
+                    visited[i][(x - grid[i].x, y - grid[i].y)] += 1
             evals = 0
             for i, block in enumerate(grid):
-                dx, dy, sse, scored = search_ref(
+                dx, dy, sse, scored, visits = search_ref(
                     cur.data, ref.data, block.x, block.y, 8, 8, 6)
                 assert tuple(offsets[i].tolist()) == (dx, dy)
                 assert best[i] == sse
@@ -167,10 +191,10 @@ class TestBlockSearch:
                     cur.data[:, block.y:block.y2, block.x:block.x2],
                     ref.data[:, block.y + dy:block.y2 + dy, block.x + dx:block.x2 + dx]),
                     rel=1e-12)
-                in_table = {(ox - batch.r, oy - batch.r)
-                            for oy, ox in zip(*np.nonzero(~np.isnan(batch.sse[i])))}
-                assert in_table == scored
-                evals += len(scored)
+                assert set(visited[i]) == scored
+                assert sum(visited[i].values()) == len(visits)
+                assert visited[i] == Counter(visits)
+                evals += len(visits)
             assert stats.psnr_evals == evals
 
     def test_offsets_respect_range_and_bounds(self):
@@ -510,9 +534,10 @@ class TestMatchFrames:
                          MatcherConfig())
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_psnr_evals_score_each_offset_once(self, k):
-        # Step 2 scores what the serial diamond search scores, each offset
-        # once; Step 4 scores every block in view at the global motion once
+    def test_psnr_evals_count_every_scoring(self, k):
+        # Step 2 scores every offset the serial diamond search visits, as
+        # often as it visits it; Step 4 scores every block in view at the
+        # global motion once
         pairs = [texture_pair(3, -2, seed=5, w=64, h=48, noise=0.05),
                  (noise_frame(3, channels=3, h=48, w=64),
                   noise_frame(4, channels=3, h=48, w=64))]
@@ -524,9 +549,9 @@ class TestMatchFrames:
             expect = 0
             for i, b in enumerate(partition_grid(cur.width, cur.height, cfg.block_size)):
                 if (i // cols) % k == 0 and (i % cols) % k == 0:
-                    *_, scored = diamond_search_ref(cur.data, ref.data, b.x, b.y,
+                    *_, visits = diamond_search_ref(cur.data, ref.data, b.x, b.y,
                                                     b.w, b.h, cfg.search_range)
-                    expect += len(scored)
+                    expect += len(visits)
                 expect += Rect(0, 0, cur.width, cur.height).contains(b.translate(mx, my))
             assert res.stats.psnr_evals == expect
 
@@ -539,6 +564,19 @@ class TestMatchFrames:
         wide = match_frames(cur, ref, MatcherConfig(block_size=8, strategy=strategy,
                                                     search_range=40))
         assert huge == wide
+
+    def test_memory_does_not_grow_with_search_range(self):
+        # A range as wide as a 227x227 frame needs no more memory than the
+        # cut gate's canvas, and on a small pan finds what the default does.
+        ref, cur = texture_pair(2, 1, seed=0, w=227, h=227, noise=0.05)
+        tracemalloc.start()
+        try:
+            wide = match_frames(cur, ref, MatcherConfig(search_range=217, skip_k=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert wide == match_frames(cur, ref, MatcherConfig(search_range=16, skip_k=2))
 
     def test_square_pan_takes_the_most_voted_motion(self):
         # The square and the wrap seam split the votes of a (16, 16) pan:
@@ -757,7 +795,8 @@ class TestMatcherConfig:
         {"block_size": 0}, {"skip_k": 0}, {"search_range": -1},
         {"threshold_t": 0.0}, {"threshold_t": -3.0}, {"strategy": "bogus"},
         {"strategy": "three-step"}, {"block_size": 10.5}, {"skip_k": 2.0},
-        {"search_range": 2.5},
+        {"search_range": 2.5}, {"block_size": True}, {"skip_k": True},
+        {"search_range": False},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
