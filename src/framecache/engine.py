@@ -264,8 +264,10 @@ def preprocess(frame: Frame, mean=0.0, scale: float = 1.0) -> FeatureMap:
     Results beyond the float32 range store as infinities.
     """
     mean_arr, scale = _preprocess_args(mean, scale, frame.channels)
+    out = frame.data.astype(np.float64)
     with np.errstate(over="ignore"):
-        out = (frame.data.astype(np.float64) - mean_arr[:, None, None]) * scale
+        out -= mean_arr[:, None, None]
+        out *= scale
         return FeatureMap(out.astype(np.float32))
 
 
@@ -617,7 +619,7 @@ def pool_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
         for ky in range(k):
             for kx in range(k):
                 patch = padded[:, ky:ky + s * out_h:s, kx:kx + s * out_w:s]
-                acc = patch.copy() if acc is None else np.maximum(acc, patch)
+                acc = patch.copy() if acc is None else np.maximum(acc, patch, out=acc)
         nan = np.isnan(acc)
         if nan.any():
             acc.view(np.uint32)[nan] |= np.uint32(0x00400000)
@@ -646,15 +648,19 @@ def lrn_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     x64 = input.data.astype(np.float64)
     c = input.channels
     sq = np.zeros((c + 2 * r, input.height, input.width), dtype=np.float64)
-    sq[r:r + c] = x64 * x64
-    acc = np.zeros_like(x64)
-    for o in range(size):
+    np.multiply(x64, x64, out=sq[r:r + c])
+    # The window sum starts from its first square: 0 + v is v for a square.
+    acc = sq[0:c].copy()
+    for o in range(1, size):
         acc += sq[o:o + c]
     # Huge alpha or beta can overflow the denominator (its quotient is then
     # 0) or underflow it to 0; neither may warn midway through a stream.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        denom = np.power(spec.norm_bias + (spec.alpha / size) * acc, spec.beta)
-        return FeatureMap((x64 / denom).astype(np.float32))
+        acc *= spec.alpha / size
+        acc += spec.norm_bias
+        np.power(acc, spec.beta, out=acc)
+        np.divide(x64, acc, out=acc)
+        return FeatureMap(acc.astype(np.float32))
 
 
 def fc_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:

@@ -23,7 +23,8 @@ One acceleration is built in: Step 2 can search only every k-th grid row
 and column (``skip_k``).  Both search strategies score, range-check, count
 and rank their candidates through one method, ``_BlockBatch.best``; a
 strategy only chooses which offsets to try.  The search keeps no SSEs
-between its steps, so its memory does not grow with search_range.
+between its steps, and the exhaustive strategy scores a block's offsets in
+chunks of bounded size, so memory does not grow with search_range.
 
 The cut gate runs before Step 2, and only where the call would search.
 It decides from block sums whether one motion, keeping PRIOR_MIN of the
@@ -34,10 +35,12 @@ the successive elimination bound of Li and Salari, IEEE TIP 1995), so at
 any motion the blocks whose bound clears threshold_t include every block
 Step 4 would verify there.  The gate counts them at the motions of a
 coarse-to-fine search over block sums, as in the mean-pyramid motion
-search of Nam et al. (IEEE TCSVT 1995).  Where no count reaches the bar,
-as across a scene cut, the call returns an empty result (no mappings,
-match_ratio 0, no searches) instead of searching; elsewhere the pipeline
-runs exactly as it would without the gate.
+search of Nam et al. (IEEE TCSVT 1995).  Both passes read one array of
+ref's window sums over the frame only, so the gate's memory does not grow
+with search_range either.  Where no count reaches the bar, as across a
+scene cut, the call returns an empty result (no mappings, match_ratio 0,
+no searches) instead of searching; elsewhere the pipeline runs exactly as
+it would without the gate.
 
 Temporal motion prediction: given ``prior``, an earlier searched
 MatchResult, match_frames first runs Steps 1, 4 and 5 alone at the prior's
@@ -72,6 +75,9 @@ PRIOR_KEEP = 0.9
 # skips the search where no motion keeping this share of the grid in view
 # could verify this share of the blocks in view.
 PRIOR_MIN = 0.5
+
+# Samples one gather of the exhaustive search holds at most (512 KiB of int16).
+_CHUNK_SAMPLES = 1 << 18
 
 # Large/small diamond search patterns; offsets relative to the pattern center.
 _LDSP = ((0, 0), (-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (1, -1), (-1, 1), (1, 1))
@@ -271,6 +277,13 @@ def _is_cut(cur16, ref16, rows: int, cols: int, cfg: MatcherConfig) -> bool:
     grid in range.  The bar counts blocks in view, not the grid, because a
     pan on a small frame moves blocks out of view: a match there can cover
     less than PRIOR_MIN of the grid, and the search keeps it.
+
+    Both passes read one array of ref's window sums, which covers the
+    frame only: a block out of range reads the window at its position
+    clipped into the frame, and the in-range masks drop its bound.  The
+    coarse pass runs in slices of motions and block rows that hold at most
+    as many bounds as the fine pass, so memory does not grow with
+    search_range.
     """
     bs = cfg.block_size
     c, h, w = cur16.shape
@@ -278,64 +291,75 @@ def _is_cut(cur16, ref16, rows: int, cols: int, cfg: MatcherConfig) -> bool:
     step = max(1, bs // 2)
     sums = cur16[:, :rows * bs, :cols * bs].reshape(c, rows, bs, cols * bs)
     sums = sums.sum(axis=2, dtype=np.int32).reshape(c, rows, cols, bs).sum(axis=3, dtype=np.int32)
-    sums = sums[:, :, None, :, None]
-    # The sum of every bs x bs window of ref, on a zero canvas padded by p,
-    # so that box[:, y + p, x + p] is the window at (x, y) and every motion
-    # tried reads inside the canvas.  The sums are exact integers.
-    acc = next(t for t in (np.uint16, np.int32, np.int64) if bs * bs * 255 <= np.iinfo(t).max)
-    sq = np.int32 if (bs * bs * 255) ** 2 < 2**31 else np.int64
-    p = r + bs
-    hp, wp = h + 2 * p, w + 2 * p
-    size = c * hp * wp
-    canvas = np.zeros(size + bs * wp + bs, acc)
-    canvas[:size].reshape(c, hp, wp)[:, p:p + h, p:p + w] = ref16
-    box = _run_sums(_run_sums(canvas, bs, wp, size + bs), bs, 1, size).reshape(c, hp, wp)
-    by, bx = np.arange(rows) * bs, np.arange(cols) * bs
+    # The sum of every bs x bs window of ref, box[:, y, x] for the window at
+    # (x, y): run sums of the flat frame along x, then along y, read where
+    # they cross no row or channel end.  They run in the narrowest signed
+    # type that holds a window sum, so the sums are exact integers, and so
+    # are the bounds: a channel's D**2 is at most (bs**2 * 255)**2.
+    acc = np.min_scalar_type(-bs * bs * 255)
+    sq = np.int32 if c * (bs * bs * 255) ** 2 < 2**31 else np.int64
+    size = c * h * w
+    flat = _run_sums(ref16.astype(acc, copy=False).ravel(), bs, 1, size - bs + 1)
+    flat = _run_sums(flat, bs, w, size - (bs - 1) * w - bs + 1)
+    box = np.lib.stride_tricks.as_strided(flat, (c, h - bs + 1, w - bs + 1),
+                                          np.multiply((h * w, w, 1), flat.itemsize),
+                                          writeable=False)
 
-    def bounds(ref_sums, part=slice(None)) -> np.ndarray:
-        """The bound times bs**2 of block (i, j) of the block rows part at
-        motion (a, b), as t[i, a, j, b], from ref_sums[:, i, a, j, b]."""
-        d = np.subtract(ref_sums, sums[:, part], dtype=sq)
+    def axis(starts, m, hi):
+        """For blocks at starts and motions m along one axis, the window
+        positions clipped into [0, hi], as pos[block, motion], and which
+        are in range, as mask[motion, block]."""
+        pos = starts[:, None] + m
+        clipped = pos.clip(0, hi)
+        return clipped, ((clipped == pos) & (abs(m) <= r)).T
+
+    def bounds(ref_sums, cur_sums) -> np.ndarray:
+        """The bound times bs**2 of each window of ref_sums against the
+        block sums cur_sums, summed over the leading channel axis."""
+        d = np.subtract(ref_sums, cur_sums, dtype=sq)
         d *= d
-        return d.sum(axis=0, dtype=np.float64)
+        return d.sum(axis=0, dtype=sq)
 
-    def in_range_sum(t, my, mx, part=slice(None)):
-        """The sum of t[:, a, :, b] over the blocks of the block rows part
-        in range at motion (mx[b], my[a]), and their number."""
-        y = by[part]
-        rows_in = (y + my[:, None] >= 0) & (y + my[:, None] <= h - bs) & (abs(my[:, None]) <= r)
-        cols_in = (bx + mx[:, None] >= 0) & (bx + mx[:, None] <= w - bs) & (abs(mx[:, None]) <= r)
-        total = np.einsum("iab,ai->ab", np.einsum("iajb,bj->iab", t, cols_in.astype(float)),
-                          rows_in.astype(float))
-        return total, np.outer(rows_in.sum(axis=1), cols_in.sum(axis=1))
-
+    by, bx = np.arange(rows) * bs, np.arange(cols) * bs
     bar = PRIOR_MIN * rows * cols
     coarse = np.arange(-(r // step) * step, r + 1, step)
-    s0, s1, s2 = box.strides
-    at_coarse = np.lib.stride_tricks.as_strided(
-        box[:, coarse[0] + p:, coarse[0] + p:], (c, rows, len(coarse), cols, len(coarse)),
-        (s0, bs * s1, step * s1, bs * s2, step * s2), writeable=False)
-    # Slices of block rows, each holding about as many bounds as the fine
-    # pass, so that small blocks do not blow up memory.
-    total = n = 0
-    per = max(1, h * w // (cols * len(coarse) ** 2))
-    for i in range(0, rows, per):
-        part = slice(i, i + per)
-        part_total, part_n = in_range_sum(bounds(at_coarse[:, part], part), coarse, coarse, part)
-        total, n = total + part_total, n + part_n
+    (ys, rows_in), (xs, cols_in) = axis(by, coarse, h - bs), axis(bx, coarse, w - bs)
+    n = np.outer(rows_in.sum(axis=1), cols_in.sum(axis=1))
+    rows_in, cols_in = rows_in.astype(float), cols_in.astype(float)
+    nc, per = len(coarse), rows * cols * bs * bs
+    na = max(1, min(nc, per // (rows * cols * nc)))
+    ni = max(1, per // (na * cols * nc))
+    total = np.zeros(n.shape)
+    for a in range(0, nc, na):
+        for i in range(0, rows, ni):
+            part, motions = slice(i, i + ni), slice(a, a + na)
+            t = bounds(box[:, ys[part, motions]][:, :, :, xs], sums[:, part, None, :, None])
+            # The sum of t[:, a, :, b] over the blocks in range at (a, b).
+            total[motions] += np.einsum("iab,ai->ab", np.einsum("iajb,bj->iab", t, cols_in),
+                                        rows_in[motions, part])
     mean = np.divide(total, n, out=np.full(n.shape, np.inf), where=n >= bar)
     # Ties prefer small |dx| + |dy|, as the block search's do.
     near = abs(coarse)[:, None] + abs(coarse)[None, :]
     a, b = np.unravel_index(np.lexsort((near.ravel(), mean.ravel()))[0], mean.shape)
-    # bs consecutive offsets per axis: block i at the a-th reads window row
-    # i * bs + y0 + a, so the window rows of all blocks and offsets are one
-    # run of rows * bs.
+    # bs consecutive offsets per axis: block j at the b-th reads window
+    # column j * bs + x0 + b, so the fine pass reads one slab of rows * bs
+    # window rows by cols * bs window columns, as ok[i, a, j * bs + b].  The
+    # columns inside the frame are one run, [lo, hi), and are scored
+    # against the block sums repeated along x; the rest stay out of range.
     y0, x0 = coarse[a] - step + 1, coarse[b] - step + 1
-    t = bounds(box[:, y0 + p:y0 + p + rows * bs, x0 + p:x0 + p + cols * bs]
-               .reshape(c, rows, bs, cols, bs))
+    (ys, rows_in), (_, cols_in) = (axis(by, y0 + np.arange(bs), h - bs),
+                                   axis(bx, x0 + np.arange(bs), w - bs))
+    lo = max(0, -x0)
+    hi = max(lo, min(cols * bs, w - bs + 1 - x0))
+    t = bounds(box[:, ys, x0 + lo:x0 + hi], np.repeat(sums, bs, axis=2)[:, :, None, lo:hi])
     # PSNR above threshold_t, for an SSE bound of t / bs**2 over c * bs**2 samples.
     lim = 65025.0 * c * bs**4 * 10.0 ** (-cfg.threshold_t / 10)
-    hits, n = in_range_sum((t < lim).astype(float), y0 + np.arange(bs), x0 + np.arange(bs))
+    ok = np.zeros((rows, bs, cols * bs), dtype=bool)
+    np.less(t, lim, out=ok[:, :, lo:hi])
+    ok &= rows_in.T[:, :, None]
+    ok &= cols_in.T.reshape(-1)
+    hits = ok.reshape(rows, -1).sum(axis=0).reshape(bs, cols, bs).sum(axis=1)
+    n = np.outer(rows_in.sum(axis=1), cols_in.sum(axis=1))
     return not ((n >= bar) & (hits >= PRIOR_MIN * n)).any()
 
 
@@ -406,14 +430,22 @@ def _diamond_search(b: _BlockBatch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exhaustive_search(b: _BlockBatch) -> tuple[np.ndarray, np.ndarray]:
-    # Every in-range offset, one block at a time, so one gather holds at
-    # most one block's windows.
+    # Every in-range offset, one block at a time, in chunks of offsets whose
+    # windows hold at most _CHUNK_SAMPLES samples, so that one gather does
+    # not grow with search_range.  A block keeps the best of its chunks'
+    # bests, by SSE and then the search's tie order.
     center = np.zeros((1, 2), dtype=np.int64)
+    per = max(1, _CHUNK_SAMPLES // b.count)
     found = []
     for i in range(b.n):
         rect = np.meshgrid(np.arange(b.dx_lo[i], b.dx_hi[i] + 1),
                            np.arange(b.dy_lo[i], b.dy_hi[i] + 1))
-        found.append(b.best(np.array([i]), center, np.stack(rect, axis=-1).reshape(-1, 2)))
+        rect = np.stack(rect, axis=-1).reshape(-1, 2)
+        offsets, sse = zip(*(b.best(np.array([i]), center, rect[k:k + per])
+                             for k in range(0, len(rect), per)))
+        offsets, sse = np.concatenate(offsets), np.concatenate(sse)
+        first = np.lexsort((*_rank(offsets[:, 0], offsets[:, 1]), sse))[:1]
+        found.append((offsets[first], sse[first]))
     offsets, sse = zip(*found)
     return np.concatenate(offsets), np.concatenate(sse)
 

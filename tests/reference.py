@@ -259,3 +259,69 @@ def merge_blocks_ref(verified, motion):
     merged.sort(key=lambda r: (r[1], r[0]))
     mx, my = motion
     return [((x, y, w, h), (x + mx, y + my, w, h)) for x, y, w, h in merged]
+
+
+def is_cut_ref(cur, ref, block_size, search_range, threshold_t, prior_min=0.5):
+    """The cut gate motion by motion and block by block.  cur/ref are
+    (C, H, W) uint8 arrays; prior_min is the matcher's PRIOR_MIN.
+
+    Block and window sums come from a summed-area table, exact in Python
+    ints.  At a motion, a grid block is in range when its counterpart lies
+    inside ref and neither component exceeds r, the search range capped
+    at max(H, W) - bs; its bound (bs**2 times its mean-difference SSE) is
+    the sum over channels of the squared difference of the two blocks'
+    channel sums.  The coarse pass visits the multiples of max(1, bs // 2)
+    within r on each axis and takes, among the motions with at least
+    prior_min of the grid in range, the lowest mean bound over the blocks
+    in range, ties by (|dx|+|dy|, dy, dx).  The fine pass visits the
+    bs x bs motions from step - 1 before that motion on each axis.  The
+    pair is a cut unless, at a fine motion with prior_min of the grid in
+    range, at least prior_min of the in-range blocks have a bound whose
+    PSNR clears threshold_t.
+    """
+    c, h, w = cur.shape
+    bs = block_size
+    rows, cols = h // bs, w // bs
+    r = min(search_range, max(h - bs, w - bs))
+    step = max(1, bs // 2)
+
+    def table(img):
+        sat = np.zeros((c, h + 1, w + 1), dtype=np.int64)
+        sat[:, 1:, 1:] = img.astype(np.int64).cumsum(axis=1).cumsum(axis=2)
+        return sat.tolist()
+
+    def window(sat, x, y):
+        return [s[y + bs][x + bs] - s[y][x + bs] - s[y + bs][x] + s[y][x] for s in sat]
+
+    cur_sat, ref_sat = table(cur), table(ref)
+    blocks = [(j * bs, i * bs, window(cur_sat, j * bs, i * bs))
+              for i in range(rows) for j in range(cols)]
+
+    def bounds(mx, my):
+        """The bounds of the blocks in range at motion (mx, my)."""
+        if abs(mx) > r or abs(my) > r:
+            return []
+        out = []
+        for x, y, sums in blocks:
+            if 0 <= x + mx <= w - bs and 0 <= y + my <= h - bs:
+                out.append(sum((a - b) ** 2 for a, b in zip(window(ref_sat, x + mx, y + my), sums)))
+        return out
+
+    bar = prior_min * rows * cols
+    coarse = range(-(r // step) * step, r + 1, step)
+    best = None
+    for my in coarse:
+        for mx in coarse:
+            t = bounds(mx, my)
+            if len(t) >= bar:
+                key = (sum(t) / len(t), abs(mx) + abs(my), my, mx)
+                best = key if best is None else min(best, key)
+    *_, cy, cx = best
+    # A bound t is an SSE of at least t / bs**2 over c * bs**2 samples.
+    lim = 65025.0 * c * bs ** 4 * 10.0 ** (-threshold_t / 10)
+    for my in range(cy - step + 1, cy - step + 1 + bs):
+        for mx in range(cx - step + 1, cx - step + 1 + bs):
+            t = bounds(mx, my)
+            if len(t) >= bar and sum(v < lim for v in t) >= prior_min * len(t):
+                return False
+    return True

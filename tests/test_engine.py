@@ -70,6 +70,19 @@ class TestPreprocess:
         assert out.data[0, 0, 0] == np.float32(-1.0)
         assert out.data[0, 0, 1] == np.float32(1.0)
 
+    def test_every_sample_value_bitwise(self):
+        # Every 8-bit value in each of three channels, with the benchmark's
+        # per-channel mean and scale: the float32 of (v - mean[c]) * scale
+        # taken in float64, bit for bit.
+        mean = [123.68, 116.78, 103.94]
+        f = Frame(np.broadcast_to(np.arange(256, dtype=np.uint8), (3, 1, 256)))
+        out = preprocess(f, mean=mean, scale=0.017)
+        want = np.empty((3, 1, 256), dtype=np.float32)
+        for c in range(3):
+            for v in range(256):
+                want[c, 0, v] = np.float32((np.float64(v) - mean[c]) * 0.017)
+        assert np.array_equal(bits(out.data), bits(want))
+
 
 # (in channels, height, width, kernel, out channels, stride, pad).  The
 # plane interleaves one channel at a time below 8 channels and by one

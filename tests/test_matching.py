@@ -19,7 +19,7 @@ from framecache import matching
 from framecache.matching import (PRIOR_KEEP, PRIOR_MIN, _BlockBatch, _window_sse,
                                  psnr_from_sse)
 from reference import (diamond_search_ref, exhaustive_search_ref, global_motion_ref,
-                       merge_blocks_ref, psnr_ref, verify_blocks_ref)
+                       is_cut_ref, merge_blocks_ref, psnr_ref, verify_blocks_ref)
 
 
 def noise_frame(seed, channels=1, h=24, w=24):
@@ -84,6 +84,24 @@ class TestPsnr:
             assert psnr(a, b) == psnr_ref(a, b)
 
 
+def search_pairs():
+    """40 x 48 (ref, cur) pairs for the 8 x 8 block search: noise, pans, and
+    frames on which many offsets tie on SSE."""
+    pairs = [(noise_frame(s, channels=3, h=40, w=48),
+              noise_frame(s + 70, channels=3, h=40, w=48)) for s in range(3)]
+    pairs += [texture_pair(dx, dy, seed=5, w=48, h=40, noise=0.05)
+              for dx, dy in ((3, -2), (-5, 4))]
+    # two-level frames: many offsets tie on SSE, exercising the tie-break
+    rng = np.random.default_rng(8)
+    pairs += [tuple(Frame(rng.integers(0, 2, size=(1, 40, 48), dtype=np.uint8))
+                    for _ in range(2)) for _ in range(3)]
+    # diagonal stripes: every offset with dx + dy = 3 is an exact match
+    stripes = rng.integers(0, 2, size=100, dtype=np.uint8)[
+        np.add.outer(np.arange(41), np.arange(50))][None]
+    pairs += [(Frame(stripes[:, :40, :48]), Frame(stripes[:, 1:41, 2:50]))]
+    return pairs
+
+
 class TestBlockSearch:
     def test_identical_frames_all_strategies(self):
         f = noise_frame(3, channels=3)
@@ -141,18 +159,7 @@ class TestBlockSearch:
         # each as often as the serial search visits it
         search_ref = {"diamond": diamond_search_ref, "exhaustive": exhaustive_search_ref}[strategy]
         cfg = MatcherConfig(block_size=8, strategy=strategy, search_range=6)
-        pairs = [(noise_frame(s, channels=3, h=40, w=48),
-                  noise_frame(s + 70, channels=3, h=40, w=48)) for s in range(3)]
-        pairs += [texture_pair(dx, dy, seed=5, w=48, h=40, noise=0.05)
-                  for dx, dy in ((3, -2), (-5, 4))]
-        # two-level frames: many offsets tie on SSE, exercising the tie-break
-        rng = np.random.default_rng(8)
-        pairs += [tuple(Frame(rng.integers(0, 2, size=(1, 40, 48), dtype=np.uint8))
-                        for _ in range(2)) for _ in range(3)]
-        # diagonal stripes: every offset with dx + dy = 3 is an exact match
-        stripes = rng.integers(0, 2, size=100, dtype=np.uint8)[
-            np.add.outer(np.arange(41), np.arange(50))][None]
-        pairs += [(Frame(stripes[:, :40, :48]), Frame(stripes[:, 1:41, 2:50]))]
+        pairs = search_pairs()
 
         class Rows(np.ndarray):
             # the batch's block windows: a pick of rows keeps the block indices
@@ -196,6 +203,42 @@ class TestBlockSearch:
                 assert visited[i] == Counter(visits)
                 evals += len(visits)
             assert stats.psnr_evals == evals
+
+    @pytest.mark.parametrize("samples", [1, 7 * 64])
+    def test_exhaustive_chunks_equal_serial_reference(self, samples, monkeypatch):
+        # Chunks of one offset, or of 2 (3 channels) or 7 (1 channel):
+        # every block keeps the serial search's offset and SSE, ties
+        # included, and every in-range offset is scored once.
+        monkeypatch.setattr(matching, "_CHUNK_SAMPLES", samples)
+        cfg = MatcherConfig(block_size=8, strategy="exhaustive", search_range=6)
+        for ref, cur in search_pairs():
+            grid = partition_grid(cur.width, cur.height, 8)
+            stats = MatchStats()
+            batch = _BlockBatch(cur.data.astype(np.int16), ref.data.astype(np.int16),
+                                np.array([b.x for b in grid]), np.array([b.y for b in grid]),
+                                8, 8, cfg, stats)
+            offsets, best = SEARCH_STRATEGIES["exhaustive"](batch)
+            evals = 0
+            for i, block in enumerate(grid):
+                dx, dy, sse, _, visits = exhaustive_search_ref(
+                    cur.data, ref.data, block.x, block.y, 8, 8, 6)
+                assert (tuple(offsets[i].tolist()), best[i]) == ((dx, dy), sse)
+                evals += len(visits)
+            assert stats.psnr_evals == evals
+
+    def test_exhaustive_memory_does_not_grow_with_search_range(self):
+        # A range as wide as the frame scores the rectangle in chunks: one
+        # block's search holds a few MiB, not every window at once.
+        ref, cur = texture_pair(2, 1, seed=0, w=227, h=227, noise=0.05)
+        cfg = MatcherConfig(strategy="exhaustive", search_range=217)
+        tracemalloc.start()
+        try:
+            found = block_search(cur, ref, Rect(110, 110, 10, 10), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert found.offset == (-2, -1)
 
     def test_offsets_respect_range_and_bounds(self):
         cfg = MatcherConfig(block_size=8, search_range=3, strategy="diamond")
@@ -724,7 +767,40 @@ class TestVoteOracle:
                                                       search_range, threshold)
 
 
+@st.composite
+def gate_pairs(draw):
+    """(ref, cur, block_size): uint8 frames of 1 or 3 channels, a grid of
+    up to 6 x 6 blocks plus margins, holding a pan, a cut or noise."""
+    bs = draw(st.sampled_from((1, 2, 3, 5, 8, 10, 17)))
+    channels = draw(st.sampled_from((1, 3)))
+    h, w = (bs * draw(st.integers(1, 6)) + draw(st.integers(0, bs - 1)) for _ in range(2))
+    kind = draw(st.sampled_from(("pan", "cut", "noise")))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "pan":
+        ref, cur = synth_sequence(2, w, h, channels=channels, dx=draw(st.integers(-8, 8)),
+                                  dy=draw(st.integers(-8, 8)),
+                                  noise=draw(st.sampled_from((0.0, 0.03))), seed=seed)
+    elif kind == "cut":
+        ref, cur = (synth_sequence(1, w, h, channels=channels, seed=seed + i)[0]
+                    for i in range(2))
+    else:
+        ref, cur = (noise_frame(seed + i, channels=channels, h=h, w=w) for i in range(2))
+    return ref.data, cur.data, bs
+
+
 class TestCutGate:
+    @settings(max_examples=80, deadline=None)
+    @given(pair=gate_pairs(), search_range=st.sampled_from((0, 1, 4, 16, 40)),
+           threshold=st.sampled_from((5.0, 20.0, PSNR_MAX - 1, math.inf)))
+    def test_gate_equals_the_oracle(self, pair, search_range, threshold):
+        # Odd block sizes, whose coarse step does not divide the block, and
+        # 17, whose window sums need more than 16 bits, included.
+        ref, cur, bs = pair
+        cfg = MatcherConfig(block_size=bs, search_range=search_range, threshold_t=threshold)
+        rows, cols = cur.shape[1] // bs, cur.shape[2] // bs
+        gated = matching._is_cut(cur.astype(np.int16), ref.astype(np.int16), rows, cols, cfg)
+        assert gated == is_cut_ref(cur, ref, bs, search_range, threshold, PRIOR_MIN)
+
     @settings(max_examples=40, deadline=None)
     @given(dx=st.integers(-16, 16), dy=st.integers(-16, 16),
            size=st.sampled_from(((227, 227), (96, 80))), square=st.booleans(),
@@ -748,6 +824,23 @@ class TestCutGate:
             assert gated == MatchResult([], (0, 0), 0.0, 0, MatchStats())
         else:
             assert gated == ungated
+
+    def test_gate_memory_does_not_grow_with_search_range(self):
+        # The window sums cover the frame only, and the coarse pass runs in
+        # slices no larger than the fine pass, so a range as wide as the
+        # frame needs about the memory of the default range.
+        old, new = (synth_sequence(1, 227, 227, noise=0.01, seed=i)[0] for i in range(2))
+        cur16, ref16 = new.data.astype(np.int16), old.data.astype(np.int16)
+        peaks = []
+        for search_range in (16, 217):
+            tracemalloc.start()
+            try:
+                assert matching._is_cut(cur16, ref16, 22, 22,
+                                        MatcherConfig(search_range=search_range))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     @pytest.mark.parametrize("dx, dy", [(11, 11), (11, -11)])
     def test_pan_off_a_small_frame_is_not_a_cut(self, dx, dy):
