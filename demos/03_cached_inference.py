@@ -25,18 +25,17 @@ sm softmax in=b6 out=prob
 """
 
 
-def build(clean_cache: bool) -> Session:
+def build(expire_n: int) -> Session:
     graph = parse_model(MODEL)
     load_weights(random_weights(graph, seed=7), graph)
     cfg = MatcherConfig(block_size=10, threshold_t=20.0, skip_k=2)
-    return Session(graph, matcher_cfg=cfg, expire_n=10,
-                   cache_enabled=clean_cache)
+    return Session(graph, matcher_cfg=cfg, expire_n=expire_n)
 
 
 def main():
     frames = synth_sequence(20, 96, 96, dx=2, dy=0, noise=0.01, seed=3)
-    cached = build(True)
-    plain = build(False)
+    cached = build(expire_n=10)
+    plain = build(expire_n=1)  # every frame flushes: the uncached oracle
 
     print(f"{'frame':>5} {'flush':>5} {'ratio':>6} {'MACs done':>10} "
           f"{'of total':>9} {'top-1 agree':>11}")

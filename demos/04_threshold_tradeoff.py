@@ -30,7 +30,7 @@ def run(threshold: float, frames):
 
     oracle_graph = parse_model(MODEL)
     load_weights(random_weights(oracle_graph, seed=1), oracle_graph)
-    plain = Session(oracle_graph, cache_enabled=False)
+    plain = Session(oracle_graph, expire_n=1)
 
     ratios, mses, computed, total = [], [], 0, 0
     for frame in frames:

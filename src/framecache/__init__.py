@@ -14,7 +14,7 @@ from .matching import (PSNR_MAX, SEARCH_STRATEGIES, BlockMatch, MatcherConfig,
 from .regions import (LayerGeom, LayerType, concat_mappings, propagate_mappings,
                       transform_mapping, transform_region)
 from .engine import (CacheStore, ConvLayerMacs, FrameMetrics, LayerSpec,
-                     ModelGraph, Session, build_reuse_bitmap, concat_forward,
+                     ModelGraph, Session, concat_forward,
                      conv_forward, conv_forward_cached, elementwise_forward,
                      fc_forward, lrn_forward, pool_forward, preprocess,
                      relu_forward, softmax_forward)
@@ -35,7 +35,7 @@ __all__ = [
     "LayerType", "LayerGeom", "transform_region", "transform_mapping",
     "concat_mappings", "propagate_mappings",
     "LayerSpec", "ModelGraph", "CacheStore", "FrameMetrics", "ConvLayerMacs",
-    "Session", "preprocess", "build_reuse_bitmap",
+    "Session", "preprocess",
     "conv_forward", "conv_forward_cached", "pool_forward", "relu_forward",
     "lrn_forward", "fc_forward", "softmax_forward", "concat_forward",
     "elementwise_forward",

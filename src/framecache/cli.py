@@ -78,16 +78,15 @@ def _top_entries(output) -> tuple[list[int], list[float]]:
     return idx, [float(vec[i]) for i in idx]
 
 
-def _session(args, graph, cache_enabled=True) -> Session:
-    return Session(graph, matcher_cfg=_matcher_cfg(args), expire_n=args.expire,
-                   cache_enabled=cache_enabled, mean=_parse_mean(args.mean),
-                   scale=args.scale)
+def _session(args, graph, expire: int) -> Session:
+    return Session(graph, matcher_cfg=_matcher_cfg(args), expire_n=expire,
+                   mean=_parse_mean(args.mean), scale=args.scale)
 
 
 def cmd_run(args) -> int:
     graph = _load_graph(args)
     frames = _load_frames(args.frames)
-    session = _session(args, graph, cache_enabled=not args.no_cache)
+    session = _session(args, graph, args.expire)
     rows = []
     all_metrics = []
     for i, (_, frame) in enumerate(frames, start=1):
@@ -128,25 +127,21 @@ def cmd_run(args) -> int:
 
 
 def _compare_frames(args, graph, frames):
-    """Run cached vs uncached in lockstep; per-frame divergence records."""
-    cached = _session(args, graph, cache_enabled=True)
-    plain = _session(args, graph, cache_enabled=False)
+    """Run cached vs plain (expire 1) in lockstep; per-frame divergence records."""
+    cached = _session(args, graph, args.expire)
+    plain = _session(args, graph, 1)
     records = []
     for i, (_, frame) in enumerate(frames, start=1):
         out_c, m_c = cached.run_frame(frame)
         out_p, _ = plain.run_frame(frame)
-        a = out_c.data.astype(np.float64).ravel()
-        b = out_p.data.astype(np.float64).ravel()
-        diff = a - b
-        order_a = np.lexsort((np.arange(a.size), -a))
-        order_b = np.lexsort((np.arange(b.size), -b))
-        k3 = min(3, a.size)
+        diff = out_c.data.astype(np.float64).ravel() - out_p.data.astype(np.float64).ravel()
+        top_c, top_p = _top_entries(out_c)[0], _top_entries(out_p)[0]
         records.append({
             "frame": i,
             "mse": float(np.mean(diff * diff)),
             "max_abs_diff": float(np.max(np.abs(diff))),
-            "top1_agree": bool(order_a[0] == order_b[0]),
-            "top3_agree": set(order_a[:k3].tolist()) == set(order_b[:k3].tolist()),
+            "top1_agree": top_c[0] == top_p[0],
+            "top3_agree": set(top_c[:3]) == set(top_p[:3]),
             "match_ratio": m_c.match_ratio,
             "computed_macs_fraction": (m_c.computed_macs / m_c.total_macs
                                        if m_c.total_macs else 1.0),
@@ -295,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[engine, matcher],
                        help="run one session, write per-frame metrics")
-    p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out", default="metrics.csv", help="CSV path; JSON lands beside it")
     p.set_defaults(func=cmd_run)
 

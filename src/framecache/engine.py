@@ -3,7 +3,8 @@
 A Session runs a ModelGraph over a frame sequence.  The first frame, and
 every expire_n-th frame after it, is a flush: it starts from no reusable
 regions, so every convolution computes in full and its output repopulates
-the cache.  Every other frame is matched against the previous frame at the
+the cache.  With expire_n 1 every frame is a flush, which is the plain
+engine.  Every other frame is matched against the previous frame at the
 raw 8-bit level; the resulting reusable regions are propagated through the
 graph, and each convolution copies cached values for its reusable output
 pixels while computing the rest.  Both kinds of frame run the same layer
@@ -99,7 +100,6 @@ class LayerSpec:
     stride: int = 1
     pad: int = 0
     out_channels: int = 0
-    out_features: int = 0
     pool_mode: str = "max"
     radius: int = 0
     alpha: float = 1e-4
@@ -545,35 +545,18 @@ def conv_forward(input: FeatureMap, spec: LayerSpec) -> FeatureMap:
     return FeatureMap(_conv_at(input, spec).reshape(-1, out_h, out_w))
 
 
-def build_reuse_bitmap(mappings: list[RegionMapping], out_w: int, out_h: int) -> np.ndarray:
-    """2-D boolean grid, true exactly on the union of mapping dst rects.
-
-    One bitmap serves all channels: reuse regions are purely spatial.
-    Bounds and disjointness are preconditions; both are checked because a
-    violation here means region propagation is broken upstream.
-    """
-    grid = np.zeros((out_h, out_w), dtype=bool)
-    area = 0
-    bounds = Rect(0, 0, out_w, out_h)
-    for m in mappings:
-        if not bounds.contains(m.dst):
-            raise RuntimeError(f"mapping dst {m.dst} outside {out_w}x{out_h} plane")
-        grid[m.dst.y:m.dst.y2, m.dst.x:m.dst.x2] = True
-        area += m.dst.area
-    if int(grid.sum()) != area:
-        raise RuntimeError("mapping dst rects overlap")
-    return grid
-
-
 def conv_forward_cached(input: FeatureMap, spec: LayerSpec, cached_out: FeatureMap,
                         mappings: list[RegionMapping]) -> tuple[FeatureMap, int, int]:
     """Convolution that copies reusable output pixels instead of computing.
 
-    Three steps: copy cached_out[src] into output[dst] for every mapping
-    (all channels); build the reuse bitmap; run the convolution kernel
-    only for unmarked pixels.  Computed pixels get bit-identical values to
-    a full conv_forward, which runs the same kernel over every pixel.
-    With no mappings every pixel is computed.
+    One pass over the mappings copies cached_out[src] into output[dst]
+    (all channels) and marks dst in one spatial reuse grid; then the
+    convolution kernel runs only for unmarked pixels.  Computed pixels get
+    bit-identical values to a full conv_forward, which runs the same
+    kernel over every pixel.  With no mappings every pixel is computed.
+    Every dst and src must lie inside the output plane and no dst may
+    overlap another; both are checked, because a violation here means
+    region propagation is broken upstream.
 
     Returns (output, computed_macs, copied_pixels); copied_pixels counts
     output elements across channels.
@@ -585,19 +568,23 @@ def conv_forward_cached(input: FeatureMap, spec: LayerSpec, cached_out: FeatureM
                          f"do not match {(out_ch, out_h, out_w)}")
 
     out = np.empty((out_ch, out_h, out_w), dtype=np.float32)
+    reused = np.zeros((out_h, out_w), dtype=bool)
+    plane = Rect(0, 0, out_w, out_h)
     for m in mappings:
-        src = m.src
-        if src.x < 0 or src.y < 0 or src.x2 > out_w or src.y2 > out_h:
-            raise RuntimeError(f"mapping src {src} outside {out_w}x{out_h} plane")
-        out[:, m.dst.y:m.dst.y2, m.dst.x:m.dst.x2] = \
-            cached_out.data[:, src.y:src.y2, src.x:src.x2]
+        dst, src = m.dst, m.src
+        if not (plane.contains(dst) and plane.contains(src)):
+            raise RuntimeError(f"mapping dst {dst} / src {src} outside {out_w}x{out_h} plane")
+        rows, cols = slice(dst.y, dst.y2), slice(dst.x, dst.x2)
+        if reused[rows, cols].any():
+            raise RuntimeError(f"mapping dst {dst} overlaps an earlier one")
+        reused[rows, cols] = True
+        out[:, rows, cols] = cached_out.data[:, src.y:src.y2, src.x:src.x2]
 
-    bitmap = build_reuse_bitmap(mappings, out_w, out_h)
-    idx_y, idx_x = np.nonzero(~bitmap)
+    idx_y, idx_x = np.nonzero(~reused)
     if idx_y.size:
         out[:, idx_y, idx_x] = _conv_at(input, spec, (idx_y, idx_x))
 
-    copied = int(bitmap.sum()) * out_ch
+    copied = (out_h * out_w - idx_y.size) * out_ch
     computed = idx_y.size * out_ch * in_ch * k * k
     return FeatureMap(out), computed, copied
 
@@ -733,9 +720,9 @@ def _pool_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
 
 
 def _fc_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
-    if spec.out_features < 1:
+    if spec.out_channels < 1:
         raise ValueError("fc needs out >= 1")
-    return spec.out_features, 1, 1
+    return spec.out_channels, 1, 1
 
 
 def _conv_params(spec: LayerSpec, in_dims: list[Dims]) -> tuple[tuple, tuple]:
@@ -743,7 +730,7 @@ def _conv_params(spec: LayerSpec, in_dims: list[Dims]) -> tuple[tuple, tuple]:
 
 
 def _fc_params(spec: LayerSpec, in_dims: list[Dims]) -> tuple[tuple, tuple]:
-    return (spec.out_features, math.prod(in_dims[0])), (spec.out_features,)
+    return (spec.out_channels, math.prod(in_dims[0])), (spec.out_channels,)
 
 
 def _concat_out(spec: LayerSpec, in_dims: list[Dims]) -> Dims:
@@ -796,7 +783,7 @@ OPS: dict[str, LayerOp] = {
     "lrn": LayerOp({"r": Key("radius", int), "alpha": Key("alpha", float, 1e-4),
                     "beta": Key("beta", float, 0.75), "bias": Key("norm_bias", float, 1.0)},
                    LayerType.ELEMENTWISE, _same_out, lambda spec, xs: lrn_forward(xs[0], spec)),
-    "fc": LayerOp({"out": Key("out_features", int)}, LayerType.FULLY_CONNECTED, _fc_out,
+    "fc": LayerOp({"out": Key("out_channels", int)}, LayerType.FULLY_CONNECTED, _fc_out,
                   lambda spec, xs: fc_forward(xs[0], spec), _fc_params),
     "softmax": LayerOp({}, LayerType.ELEMENTWISE, _same_out,
                        lambda spec, xs: softmax_forward(xs[0])),
@@ -812,17 +799,17 @@ OPS: dict[str, LayerOp] = {
 class Session:
     """Stateful inference over one frame sequence.
 
-    Single-threaded; owns its CacheStore exclusively.  With cache_enabled
-    False every frame runs the plain full forward (each frame is a flush
-    and nothing is retained).  With it True the model input must hold at
-    least one matcher block, or no frame could ever be matched.  Every
-    conv and fc layer must hold float32 weights and biases of the shapes
-    ModelGraph.param_shapes gives, mean must give one value or one per
-    input channel, and mean and scale must be finite; all of it is checked
-    here, before any frame.  A Session computes with the weights its graph
-    held when the Session was built: it keeps its own shallow copies of
-    the graph's layers and prepares the conv and fc copies then, leaving
-    the caller's specs and arrays as they were.
+    Single-threaded; owns its CacheStore exclusively.  With expire_n 1
+    every frame is a flush: it runs the plain full forward and the matcher
+    never runs, so that is the plain engine.  With expire_n above 1 the
+    model input must hold at least one matcher block, or no frame could
+    ever be matched.  Every conv and fc layer must hold float32 weights
+    and biases of the shapes ModelGraph.param_shapes gives, mean must give
+    one value or one per input channel, and mean and scale must be finite;
+    all of it is checked here, before any frame.  A Session computes with
+    the weights its graph held when the Session was built: it keeps its
+    own shallow copies of the graph's layers and prepares the conv and fc
+    copies then, leaving the caller's specs and arrays as they were.
 
     A cache-assisted frame is matched with the cache's anchor (the last
     searched match, kept across expiry flushes) as prior: it is verified
@@ -843,24 +830,22 @@ class Session:
     """
 
     def __init__(self, graph: ModelGraph, matcher_cfg: MatcherConfig | None = None,
-                 expire_n: int = 10, cache_enabled: bool = True,
-                 mean=0.0, scale: float = 1.0):
+                 expire_n: int = 10, mean=0.0, scale: float = 1.0):
         self.graph = graph
         self.matcher_cfg = matcher_cfg or MatcherConfig()
+        self.cache = CacheStore(expire_n=expire_n)
         _, in_h, in_w = graph.input_dims
         block = self.matcher_cfg.block_size
-        if cache_enabled and min(in_h, in_w) < block:
+        if self.cache.expire_n > 1 and min(in_h, in_w) < block:
             raise ValueError(f"model input {in_w}x{in_h} is smaller than the matcher's "
                              f"{block}x{block} block; use a smaller block_size or "
-                             f"cache_enabled=False")
+                             f"expire_n=1")
         for spec, *shapes in graph.param_shapes():
             _require_weights(spec, shapes)
         self._layers = [copy.copy(spec) for spec in graph.layers]
         for spec in self._layers:
             if OPS[spec.op].params:
                 spec.prepared = _prepare_weights(spec)
-        self.cache = CacheStore(expire_n=expire_n)
-        self.cache_enabled = cache_enabled
         self.mean, self.scale = _preprocess_args(mean, scale, graph.input_dims[0])
         self.last_match: MatchResult | None = None
         self._totals = graph.conv_total_macs()
@@ -870,8 +855,7 @@ class Session:
         if frame.data.shape != self.graph.input_dims:
             raise ValueError(f"frame dims {frame.data.shape} do not match model "
                              f"input {self.graph.input_dims}")
-        flush = (not self.cache_enabled
-                 or self.cache.prev_frame is None
+        flush = (self.cache.prev_frame is None
                  or self.cache.frames_since_flush >= self.cache.expire_n)
         match = None if flush else match_frames(frame, self.cache.prev_frame,
                                                 self.matcher_cfg, prior=self.cache.anchor)
@@ -902,8 +886,7 @@ class Session:
                 conv_outputs[spec.name] = out
             blobs[spec.out_blob] = out
             blob_maps[spec.out_blob] = out_maps
-        if self.cache_enabled:
-            self.cache.commit(frame, conv_outputs, flushed=flush, match=match)
+        self.cache.commit(frame, conv_outputs, flushed=flush, match=match)
         self.last_match = match
         metrics = FrameMetrics(
             match_ratio=0.0 if flush else match.match_ratio,

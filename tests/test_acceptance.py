@@ -65,7 +65,7 @@ def test_criterion_01_infinite_threshold_bitwise():
               for _ in range(20)]
     cfg = MatcherConfig(threshold_t=float("inf"))
     cached = build_session(FOUR_LAYER, seed=1, matcher_cfg=cfg)
-    plain = build_session(FOUR_LAYER, seed=1, cache_enabled=False)
+    plain = build_session(FOUR_LAYER, seed=1, expire_n=1)
     identical = 0
     for f in frames:
         out_c, _ = cached.run_frame(f)
@@ -211,7 +211,7 @@ def test_criterion_10_synthetic_end_to_end():
     cfg = MatcherConfig(block_size=10, threshold_t=20.0, skip_k=2,
                         search_range=16, strategy="diamond")
     cached = build_session(PIPELINE, seed=10, matcher_cfg=cfg, expire_n=10)
-    plain = build_session(PIPELINE, seed=10, cache_enabled=False)
+    plain = build_session(PIPELINE, seed=10, expire_n=1)
     ratios = []
     agree = 0
     cached_macs = total_macs = 0

@@ -142,7 +142,7 @@ class TestRunCommand:
     def test_no_cache_runs_everything(self, model_files, moving_dir, tmp_path):
         out = tmp_path / "plain.csv"
         rc = main(["run", *engine_args(model_files, moving_dir),
-                   "--no-cache", "--out", str(out)])
+                   "--expire", "1", "--out", str(out)])
         assert rc == 0
         _, rows = read_csv(out)
         for r in rows:

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from framecache import engine
 from framecache import (FeatureMap, Frame, LayerSpec, MatcherConfig, Rect,
-                        RegionMapping, Session, build_reuse_bitmap,
-                        concat_forward, conv_forward,
+                        RegionMapping, Session, concat_forward, conv_forward,
                         conv_forward_cached, elementwise_forward, fc_forward,
                         load_weights, lrn_forward, parse_model, pool_forward,
                         preprocess, random_weights, relu_forward,
@@ -362,7 +361,7 @@ class TestLrnForward:
 
 
 def fc_layer(weights, biases) -> LayerSpec:
-    spec = LayerSpec("f", "fc", ["data"], "out", out_features=len(biases))
+    spec = LayerSpec("f", "fc", ["data"], "out", out_channels=len(biases))
     spec.weights = np.asarray(weights, dtype=np.float32)
     spec.biases = np.asarray(biases, dtype=np.float32)
     return spec
@@ -738,7 +737,7 @@ class TestConvForwardPreparedWeights:
                                      for buf, a in zip(bufs, (spec.weights, spec.biases)))
         x = rand_map(0, *graph.blob_dims[spec.in_blobs[0]])
         frame = synth_sequence(1, 32, 32, seed=4)[0]
-        session = Session(graph, cache_enabled=False)
+        session = Session(graph, expire_n=1)
         before = bits(session.run_frame(frame)[0].data)
         first, _ = forward_and_naive(x, spec)
         for buf in bufs:
@@ -747,7 +746,7 @@ class TestConvForwardPreparedWeights:
         assert np.array_equal(got, want)
         assert not np.array_equal(got, first)
         assert np.array_equal(bits(session.run_frame(frame)[0].data), before)
-        fresh = Session(graph, cache_enabled=False).run_frame(frame)[0]
+        fresh = Session(graph, expire_n=1).run_frame(frame)[0]
         assert not np.array_equal(bits(fresh.data), before)
 
     def test_weights_viewing_an_immutable_blob_are_not_copied(self):
@@ -996,39 +995,9 @@ class TestConcatElementwise:
         # pytest turns a RuntimeWarning into an error: beyond the float32
         # range scale stores +inf, and lrn's overflowing denominator gives 0.
         graph = parse_model(f"input 1 4 4\n{layer} in=data out=o\n")
-        out, _ = Session(graph, cache_enabled=False).run_frame(
+        out, _ = Session(graph, expire_n=1).run_frame(
             Frame(np.full((1, 4, 4), 7, dtype=np.uint8)))
         assert np.array_equal(bits(out.data), bits(np.full((1, 4, 4), want)))
-
-
-class TestReuseBitmap:
-    def test_empty(self):
-        bm = build_reuse_bitmap([], 6, 4)
-        assert bm.shape == (4, 6)
-        assert not bm.any()
-
-    def test_counts(self):
-        ms = [RegionMapping(dst=Rect(0, 0, 4, 3), src=Rect(1, 1, 4, 3)),
-              RegionMapping(dst=Rect(0, 3, 5, 4), src=Rect(0, 0, 5, 4))]
-        bm = build_reuse_bitmap(ms, 8, 8)
-        assert int(bm.sum()) == 12 + 20
-        assert bm[0, 0] and bm[3, 4] and not bm[0, 4]
-
-    def test_full_cover(self):
-        bm = build_reuse_bitmap([RegionMapping(dst=Rect(0, 0, 5, 5),
-                                               src=Rect(0, 0, 5, 5))], 5, 5)
-        assert bm.all()
-
-    def test_overlap_rejected(self):
-        ms = [RegionMapping(dst=Rect(0, 0, 4, 4), src=Rect(0, 0, 4, 4)),
-              RegionMapping(dst=Rect(3, 3, 4, 4), src=Rect(0, 0, 4, 4))]
-        with pytest.raises(RuntimeError):
-            build_reuse_bitmap(ms, 8, 8)
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(RuntimeError):
-            build_reuse_bitmap([RegionMapping(dst=Rect(5, 0, 4, 4),
-                                              src=Rect(0, 0, 4, 4))], 8, 8)
 
 
 class TestConvForwardCached:
@@ -1063,8 +1032,37 @@ class TestConvForwardCached:
         # copied pixels come verbatim from the cache at the source offset
         assert np.array_equal(bits(out.data[:, 3:7, 2:7]), bits(stale.data[:, 1:5, 1:6]))
         # computed pixels are bit-identical to the plain convolution
-        fresh = ~build_reuse_bitmap(m, 12, 12)
+        fresh = np.ones((12, 12), dtype=bool)
+        fresh[3:7, 2:7] = False
         assert np.array_equal(bits(out.data[:, fresh]), bits(full.data[:, fresh]))
+
+    def test_copied_counts_the_dst_union(self):
+        # Two dsts of different shapes: copied is their union's area times
+        # out_ch, and exactly the pixels they cover come from the cache.
+        x, spec, full = self.setup_case(5)
+        stale = FeatureMap((full.data * 3.0 + 1.0).astype(np.float32))
+        ms = [RegionMapping(dst=Rect(0, 0, 4, 3), src=Rect(1, 1, 4, 3)),
+              RegionMapping(dst=Rect(0, 3, 5, 4), src=Rect(0, 0, 5, 4))]
+        out, computed, copied = conv_forward_cached(x, spec, stale, ms)
+        assert copied == (12 + 20) * 4
+        assert computed == (12 * 12 - 32) * 4 * 3 * 9
+        assert np.array_equal(bits(out.data[:, 0, 0]), bits(stale.data[:, 1, 1]))
+        assert np.array_equal(bits(out.data[:, 3, 4]), bits(stale.data[:, 0, 4]))
+        assert np.array_equal(bits(out.data[:, 0, 4]), bits(full.data[:, 0, 4]))
+
+    @pytest.mark.parametrize("dst,src,match", [
+        (Rect(3, 3, 4, 4), Rect(0, 0, 4, 4), "overlaps"),
+        (Rect(10, 0, 4, 4), Rect(0, 0, 4, 4), "outside"),
+        (Rect(5, 5, 2, 2), Rect(11, 0, 2, 2), "outside"),
+    ], ids=["overlapping_dst", "dst_outside", "src_outside"])
+    def test_bad_mapping_rejected(self, dst, src, match):
+        # The second mapping overlaps the first, or leaves the 12x12 plane
+        # on its dst or on its src side.
+        x, spec, full = self.setup_case(6)
+        ms = [RegionMapping(dst=Rect(0, 0, 4, 4), src=Rect(0, 0, 4, 4)),
+              RegionMapping(dst=dst, src=src)]
+        with pytest.raises(RuntimeError, match=match):
+            conv_forward_cached(x, spec, full, ms)
 
     def test_mac_identity(self):
         x, spec, full = self.setup_case(3)
@@ -1082,6 +1080,36 @@ class TestConvForwardCached:
         m = [RegionMapping(dst=Rect(1, 1, 4, 4), src=Rect(1, 1, 4, 4))]
         out, _, _ = conv_forward_cached(x, spec, full, m)
         assert np.array_equal(bits(out.data), bits(full.data))
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_cases(), st.data())
+    def test_random_disjoint_mappings_copy_and_compute_exactly(self, case, data):
+        # Random geometry and values, and random disjoint dst rects each
+        # with a random src: every dst holds the stored output at its src,
+        # every other pixel conv_forward's value, bit for bit.
+        x, spec = case
+        full = conv_forward(x, spec)
+        out_ch, out_h, out_w = full.data.shape
+        stored = rand_map(data.draw(st.integers(0, 2 ** 16)), out_ch, out_h, out_w)
+        reused = np.zeros((out_h, out_w), dtype=bool)
+        ms = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            w, h = data.draw(st.integers(1, out_w)), data.draw(st.integers(1, out_h))
+            dst = Rect(data.draw(st.integers(0, out_w - w)), data.draw(st.integers(0, out_h - h)),
+                       w, h)
+            if not reused[dst.y:dst.y2, dst.x:dst.x2].any():
+                reused[dst.y:dst.y2, dst.x:dst.x2] = True
+                src = Rect(data.draw(st.integers(0, out_w - w)),
+                           data.draw(st.integers(0, out_h - h)), w, h)
+                ms.append(RegionMapping(dst=dst, src=src))
+        out, computed, copied = conv_forward_cached(x, spec, stored, ms)
+        for m in ms:
+            assert np.array_equal(bits(out.data[:, m.dst.y:m.dst.y2, m.dst.x:m.dst.x2]),
+                                  bits(stored.data[:, m.src.y:m.src.y2, m.src.x:m.src.x2]))
+        assert np.array_equal(bits(out.data[:, ~reused]), bits(full.data[:, ~reused]))
+        window = spec.weights[0].size
+        assert copied == int(reused.sum()) * out_ch
+        assert computed + copied * window == out_ch * out_h * out_w * window
 
 
 MODEL_TEXT = """\
@@ -1140,17 +1168,36 @@ class TestSession:
         assert flushes == [True, False, False, True, False, False, True]
 
     def test_cache_disabled_always_flushes(self):
-        sess = make_session(cache_enabled=False)
+        sess = make_session(expire_n=1)
         for f in synth_sequence(3, 32, 32):
             _, metrics = sess.run_frame(f)
             assert metrics.flushed
             assert metrics.copied_pixels == 0
 
+    def test_expire_one_never_calls_the_matcher(self, monkeypatch):
+        # expire_n=1 is the plain engine: on a pan that a cached session
+        # reuses, every frame flushes, computes in full and never matches.
+        pan = synth_sequence(4, 32, 32, dx=2, dy=1, noise=0.005, seed=5)
+        cached = make_session()
+        assert sum(cached.run_frame(f)[1].copied_pixels for f in pan) > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("match_frames called with expire_n=1")
+
+        monkeypatch.setattr(engine, "match_frames", refuse)
+        plain = make_session(expire_n=1)
+        for f in pan:
+            _, metrics = plain.run_frame(f)
+            assert metrics.flushed and metrics.match_ratio == 0.0
+            assert metrics.copied_pixels == 0
+            assert metrics.computed_macs == metrics.total_macs
+            assert plain.last_match is None
+
     def test_infinite_threshold_matches_plain_bitwise(self):
         cfg = MatcherConfig(block_size=10, threshold_t=float("inf"),
                             skip_k=1, search_range=8)
         cached = make_session(matcher_cfg=cfg)
-        plain = make_session(cache_enabled=False)
+        plain = make_session(expire_n=1)
         for f in synth_sequence(5, 32, 32, dx=2, dy=1, noise=0.01, seed=3):
             out_c, m_c = cached.run_frame(f)
             out_p, _ = plain.run_frame(f)
@@ -1187,7 +1234,7 @@ class TestSession:
         cfg = MatcherConfig(block_size=10, threshold_t=99.0,
                             skip_k=1, search_range=8)
         cached = make_session(text, seed=2, matcher_cfg=cfg)
-        plain = make_session(text, seed=2, cache_enabled=False)
+        plain = make_session(text, seed=2, expire_n=1)
         reused_any = False
         for f in synth_sequence(6, 24, 24, channels=1, dx=2, dy=0, seed=7):
             out_c, m_c = cached.run_frame(f)
@@ -1374,7 +1421,8 @@ class TestSession:
     def test_anchor_survives_an_expiry_flush(self):
         # The pan's motion outlives the flush, so the first cache-assisted
         # frame after it keeps the anchor's prediction instead of searching.
-        # A disabled cache never has an anchor, and a cut still clears it.
+        # The plain engine (expire_n=1) never has an anchor, and a cut
+        # still clears it.
         cfg = MatcherConfig(block_size=8, skip_k=1, search_range=8)
         pan = synth_sequence(5, 32, 32, dx=2, dy=1, noise=0.005, seed=23)
         sess = make_session(matcher_cfg=cfg, expire_n=3)
@@ -1394,7 +1442,7 @@ class TestSession:
         assert not metrics.flushed and sess.last_match.match_ratio == 0
         assert sess.cache.anchor is None
 
-        plain = make_session(matcher_cfg=cfg, cache_enabled=False)
+        plain = make_session(matcher_cfg=cfg, expire_n=1)
         for f in pan:
             plain.run_frame(f)
             assert plain.cache.anchor is None
@@ -1454,7 +1502,7 @@ class TestSession:
         text = "input 1 8 8\nc1 conv k=3 out_ch=2 p=1 in=data out=b1\n"
         with pytest.raises(ValueError, match="block"):
             make_session(text)
-        plain = make_session(text, cache_enabled=False)
+        plain = make_session(text, expire_n=1)
         for f in synth_sequence(3, 8, 8, channels=1, dx=1, seed=2):
             _, metrics = plain.run_frame(f)
             assert metrics.flushed
@@ -1544,7 +1592,7 @@ class TestExactReuse:
         changed = gray.copy()
         changed[:, :, 0:10] = changed[:, :, 30:32] = 155
         cached = make_session(text, matcher_cfg=exact_cfg(block_size=10))
-        plain = make_session(text, cache_enabled=False)
+        plain = make_session(text, expire_n=1)
         for f in (Frame(gray), Frame(changed)):
             out_c, metrics = cached.run_frame(f)
             out_p, _ = plain.run_frame(f)
@@ -1562,7 +1610,7 @@ class TestExactReuse:
         kw = dict(mean=(123.68, 116.78, 103.94), scale=0.017)
         cached = make_session(BENCH_CONV_STACK, seed,
                               matcher_cfg=exact_cfg(search_range=32, strategy="exhaustive"), **kw)
-        plain = make_session(BENCH_CONV_STACK, seed, cache_enabled=False, **kw)
+        plain = make_session(BENCH_CONV_STACK, seed, expire_n=1, **kw)
         copied = 0
         for f in synth_sequence(3, 227, 227, dx=32, dy=16, seed=seed, square=True):
             out_c, metrics = cached.run_frame(f)

@@ -71,7 +71,7 @@ class TestParseModel:
         # fc's parameter key is also called out; the blob reference is
         # always the trailing token
         g = parse_model("input 1 4 4\nf1 fc out=7 in=data out=scores\n")
-        assert g.layer("f1").out_features == 7
+        assert g.layer("f1").out_channels == 7
         assert g.output_blob == "scores"
         assert g.blob_dims["scores"] == (7, 1, 1)
 
@@ -144,8 +144,8 @@ class TestParseModel:
             for a, b in zip(g.layers, g2.layers):
                 assert (a.op, a.geom, a.in_blobs, a.out_blob) == \
                     (b.op, b.geom, b.in_blobs, b.out_blob)
-                assert (a.out_channels, a.out_features, a.pool_mode) == \
-                    (b.out_channels, b.out_features, b.pool_mode)
+                assert (a.out_channels, a.pool_mode) == \
+                    (b.out_channels, b.pool_mode)
                 assert (a.alpha, a.beta, a.norm_bias, a.factor, a.value) == \
                     (b.alpha, b.beta, b.norm_bias, b.factor, b.value)
         assert g.layer("p2").pool_mode == "avg"
