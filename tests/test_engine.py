@@ -1000,6 +1000,33 @@ class TestConcatElementwise:
         assert np.array_equal(bits(out.data), bits(np.full((1, 4, 4), want)))
 
 
+class TestReuseBitmap:
+    # Which output pixels conv_forward_cached takes from the cache: a stale
+    # plane of a value no convolution here reaches marks the copied ones.
+    SENTINEL = np.float32(1e30)
+
+    def reused(self, w, h, mappings):
+        x = rand_map(7, 2, h, w)
+        spec = conv_spec(3, 3, 1, 1, in_ch=2, seed=8)
+        stale = FeatureMap(np.full((3, h, w), self.SENTINEL, dtype=np.float32))
+        out, computed, copied = conv_forward_cached(x, spec, stale, mappings)
+        marked = out.data == self.SENTINEL
+        assert (marked == marked[0]).all()
+        return marked[0], computed, copied
+
+    def test_empty(self):
+        bm, computed, copied = self.reused(6, 4, [])
+        assert bm.shape == (4, 6)
+        assert not bm.any()
+        assert copied == 0 and computed == 4 * 6 * 3 * 2 * 9
+
+    def test_full_cover(self):
+        bm, computed, copied = self.reused(
+            5, 5, [RegionMapping(dst=Rect(0, 0, 5, 5), src=Rect(0, 0, 5, 5))])
+        assert bm.all()
+        assert computed == 0 and copied == 5 * 5 * 3
+
+
 class TestConvForwardCached:
     def setup_case(self, seed=0):
         x = rand_map(seed, 3, 12, 12)
